@@ -13,6 +13,7 @@ from .errors import (
     NoProgress,
     NotHyperbolic,
     NotStandardTorus,
+    NumericalOverflow,
     OutsideTriangle,
     StretchlabError,
     ZeroLength,
@@ -54,6 +55,8 @@ from .shear import (
     shear_from_transverse,
     shear_to_holonomy_rep,
     shears_from_coefficients,
+    slope_length,
+    slope_lengths,
     stretch,
     transverse_slope_weights,
     word_length,

@@ -8,8 +8,9 @@ significant digits so emit/parse round-trips are lossless.
 Track files are JSON with "branches" (count) and "switches" (a list of
 {"left": [...], "right": [...]} with half-branch ids 2*branch + end).
 
-Exit codes: 0 success, 2 parse/validation failure, 3 soft warning (sweep not
-stabilized, march stopped early), 4 elliptic holonomy, 5 failed hull verdict.
+Exit codes: 0 success, 2 parse/validation failure (also a shear or trace
+beyond double range), 3 soft warning (sweep not stabilized, march stopped
+early), 4 elliptic holonomy, 5 failed hull verdict.
 """
 
 from __future__ import annotations
@@ -55,19 +56,35 @@ def _bool(value: bool) -> str:
 
 # -- surface files -------------------------------------------------------------
 
+def _gluing_sides(pair, T: int) -> list[int]:
+    """Flat side indices 3*t + s of one gluing pair [[t,s],[u,r]]."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"gluing {pair} is not a pair [[t,s],[u,r]]")
+    flat = []
+    for side in pair:
+        if not (isinstance(side, list) and len(side) == 2 and all(type(v) is int for v in side)):
+            raise ValueError(f"gluing {pair}: {side} is not a [triangle, side] pair of integers")
+        t, s = side
+        if not (0 <= t < T and 0 <= s < 3):
+            raise ValueError(f"gluing {pair} out of range")
+        flat.append(3 * t + s)
+    return flat
+
+
 def parse_triangulation(spec) -> IdealTriangulation:
     if spec == "S_1_1":
         return standard_torus_triangulation()
     if not isinstance(spec, dict):
         raise ValueError("triangulation must be \"S_1_1\" or a gluing table object")
-    T = int(spec["triangles"])
+    T = spec["triangles"]
+    if type(T) is not int:
+        raise ValueError(f"triangle count {T!r} is not an integer")
     table = [-1] * (3 * T)
     pairs = spec["gluings"]
+    if not isinstance(pairs, list):
+        raise ValueError("gluings must be a list of [[t,s],[u,r]] pairs")
     for pair in pairs:
-        (t, s), (u, r) = pair
-        i, j = 3 * int(t) + int(s), 3 * int(u) + int(r)
-        if not (0 <= i < 3 * T and 0 <= j < 3 * T):
-            raise ValueError(f"gluing {pair} out of range")
+        i, j = _gluing_sides(pair, T)
         if table[i] != -1 or table[j] != -1:
             raise ValueError(f"side glued twice in {pair}")
         table[i], table[j] = j, i
@@ -80,16 +97,22 @@ def parse_triangulation(spec) -> IdealTriangulation:
 
 def parse_surface(text: str) -> tuple[str, ShearStructure]:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("surface file must hold a JSON object")
     for key in ("surface", "triangulation", "shears"):
         if key not in doc:
             raise ValueError(f"surface file is missing the \"{key}\" key")
     tri = parse_triangulation(doc["triangulation"])
     raw = doc["shears"]
+    if not isinstance(raw, dict):
+        raise ValueError("shears must be an object keyed \"e0\", \"e1\", ...")
     shears = []
     for e in range(tri.num_edges):
         key = f"e{e}"
         if key not in raw:
             raise ValueError(f"missing shear for edge {key}")
+        if type(raw[key]) not in (int, float):
+            raise ValueError(f"shear for edge {key} is not a number: {raw[key]!r}")
         shears.append(float(raw[key]))
     if len(raw) != tri.num_edges:
         extra = sorted(set(raw) - {f"e{e}" for e in range(tri.num_edges)})

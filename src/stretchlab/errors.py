@@ -29,6 +29,10 @@ class BasisChangeFailed(StretchlabError):
     """No unimodular completion of a slope was found (defensive; coprime slopes always have one)."""
 
 
+class NumericalOverflow(StretchlabError):
+    """A shear or a holonomy trace lies beyond double precision, so no finite length can be given."""
+
+
 class ZeroLength(StretchlabError):
     """Curve has zero length (puncture-parallel class) where positive length is required."""
 

@@ -8,9 +8,8 @@ closed curve, so slope sweeps are the default schedule on the punctured torus.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import NoProgress, ZeroLength
@@ -20,7 +19,8 @@ from .shear import (
     curve_length,
     earthquake_twist,
     shear_to_holonomy_rep,
-    word_length,
+    slope_length,
+    slope_lengths,
 )
 from .surface import (
     CombinatorialLoop,
@@ -29,7 +29,6 @@ from .surface import (
     Slope,
     enumerate_conjugacy_classes,
     enumerate_slopes,
-    slope_word,
     standard_torus_triangulation,
 )
 
@@ -37,20 +36,6 @@ _GRAD_STEP = 1e-5
 _TWIST_STEP = 1e-4
 _STABLE_TOL = 1e-10
 _HULL_TOL = 1e-8
-
-
-def _pmap(fn, items: Sequence):
-    """Order-preserving map; STRETCHLAB_THREADS caps the worker count (0 = auto)."""
-    try:
-        threads = int(os.environ.get("STRETCHLAB_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def curve_sort_key(c: Curve):
@@ -112,42 +97,59 @@ def nonperipheral_classes(N: int) -> list[FreeWord]:
     return [w for w in enumerate_conjugacy_classes(N) if curve_length(reference, w) > 0.0]
 
 
+def _ratio_row(c: Curve, lg: float, lh: float) -> tuple[Curve, float, float, float]:
+    if lg == 0.0 or lh == 0.0:
+        raise ZeroLength(f"curve {curve_id(c)} has zero length; ratios need positive lengths")
+    return (c, lg, lh, math.log(lh / lg))
+
+
 def k_lower_bound(g: ShearStructure, h: ShearStructure, curves: Sequence[Curve]) -> RatioReport:
     """Exact max of log(len_h / len_g) over the given finite curve set."""
     if not curves:
         raise ValueError("curve set must be nonempty")
     if g.triangulation != h.triangulation:
         raise ValueError("structures must share a triangulation")
-
-    def row(c: Curve):
-        lg = curve_length(g, c)
-        lh = curve_length(h, c)
-        if lg == 0.0 or lh == 0.0:
-            raise ZeroLength(f"curve {curve_id(c)} has zero length; ratios need positive lengths")
-        return (c, lg, lh, math.log(lh / lg))
-
-    rows = _pmap(row, list(curves))
+    rows = [_ratio_row(c, curve_length(g, c), curve_length(h, c)) for c in curves]
     rows.sort(key=lambda r: (-r[3], curve_sort_key(r[0])))
     best = rows[0]
     return RatioReport(tuple(rows), best[0], best[3], True, ())
 
 
 def k_estimate(g: ShearStructure, h: ShearStructure, schedule: Sequence[int]) -> RatioReport:
-    """Run slope sweeps at increasing complexity bounds; stabilized means the
-    best curve and the bound agreed across the last two levels."""
+    """Slope sweeps at increasing complexity bounds; stabilized means the best
+    curve and the bound agreed across the last two levels.
+
+    Each level's slopes are a prefix of the last level's in `enumerate_slopes`
+    order, which is also `curve_sort_key` order.  So one Farey sweep per
+    structure at the last level serves every level: a running maximum that
+    keeps the first of equal ratios gives each level's best curve, exactly as
+    `k_lower_bound` on that level's slopes would.
+    """
     levels = tuple(schedule)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
-    reports = [k_lower_bound(g, h, enumerate_slopes(n)) for n in levels]
-    stabilized = False
-    if len(reports) >= 2:
-        prev, last = reports[-2], reports[-1]
-        stabilized = (
-            prev.best_curve == last.best_curve
-            and abs(prev.k_lower - last.k_lower) <= _STABLE_TOL
-        )
-    last = reports[-1]
-    return RatioReport(last.rows, last.best_curve, last.k_lower, stabilized, levels)
+    if g.triangulation != h.triangulation:
+        raise ValueError("structures must share a triangulation")
+    N = levels[-1]
+    len_g = slope_lengths(shear_to_holonomy_rep(g), N)
+    len_h = slope_lengths(shear_to_holonomy_rep(h), N)
+    rows = [_ratio_row(s, len_g[s.p, s.q], len_h[s.p, s.q]) for s in enumerate_slopes(N)]
+    bests = []
+    best = rows[0]
+    k = 0
+    for n in levels:
+        while k < len(rows) and abs(rows[k][0].p) + rows[k][0].q <= n:
+            if rows[k][3] > best[3]:
+                best = rows[k]
+            k += 1
+        bests.append(best)
+    stabilized = (
+        len(bests) >= 2
+        and bests[-2][0] == bests[-1][0]
+        and abs(bests[-2][3] - bests[-1][3]) <= _STABLE_TOL
+    )
+    rows.sort(key=itemgetter(3), reverse=True)  # stable: ties stay in curve_sort_key order
+    return RatioReport(tuple(rows), best[0], best[3], stabilized, levels)
 
 
 def grad_log_length(g: ShearStructure, c: Curve, step: float = _GRAD_STEP) -> TangentCovector:
@@ -155,15 +157,24 @@ def grad_log_length(g: ShearStructure, c: Curve, step: float = _GRAD_STEP) -> Ta
     assembled back into per-shear-coordinate components (exactly in the hyperplane)."""
     if curve_length(g, c) == 0.0:
         raise ZeroLength(f"curve {curve_id(c)} is puncture-parallel; log-length is undefined")
-    T = g.triangulation
-    basis = completeness_basis(T)
+    basis = completeness_basis(g.triangulation)
     derivs = []
     for u in basis:
-        plus = ShearStructure(T, tuple(x + step * ui for x, ui in zip(g.shears, u)))
-        minus = ShearStructure(T, tuple(x - step * ui for x, ui in zip(g.shears, u)))
-        derivs.append(
-            (math.log(curve_length(plus, c)) - math.log(curve_length(minus, c))) / (2.0 * step)
-        )
+        plus, minus = _shifted(g, u, step), _shifted(g, u, -step)
+        derivs.append(_log_difference(curve_length(plus, c), curve_length(minus, c), step))
+    return _covector(g.triangulation, basis, derivs)
+
+
+def _shifted(g: ShearStructure, u: Sequence[float], t: float) -> ShearStructure:
+    return ShearStructure(g.triangulation, tuple(x + t * ui for x, ui in zip(g.shears, u)))
+
+
+def _log_difference(plus: float, minus: float, step: float) -> float:
+    return (math.log(plus) - math.log(minus)) / (2.0 * step)
+
+
+def _covector(T, basis, derivs: Sequence[float]) -> TangentCovector:
+    """Per-shear components of the covector with the given basis derivatives."""
     per_edge = [0.0] * T.num_edges
     for d, u in zip(derivs, basis):
         for k in range(T.num_edges):
@@ -239,9 +250,25 @@ def convex_cloud(g: ShearStructure, N: int) -> CloudReport:
         raise ValueError("need N >= 2 for a two-dimensional cloud")
     if len(completeness_basis(g.triangulation)) != 2:
         raise ValueError("gradient clouds are only defined for the punctured torus (2d hyperplane)")
+    # grad_log_length per slope, with each perturbed structure built and swept once
+    T = g.triangulation
+    basis = completeness_basis(T)
     slopes = enumerate_slopes(N)
-    grads = _pmap(lambda s: grad_log_length(g, s).basis_coordinates(g.triangulation), slopes)
-    points = tuple((s, gx, gy) for s, (gx, gy) in zip(slopes, grads))
+    base = slope_lengths(shear_to_holonomy_rep(g), N)
+    for s in slopes:
+        if base[s.p, s.q] == 0.0:
+            raise ZeroLength(f"curve {curve_id(s)} is puncture-parallel; log-length is undefined")
+    sweeps = [
+        (slope_lengths(shear_to_holonomy_rep(_shifted(g, u, _GRAD_STEP)), N),
+         slope_lengths(shear_to_holonomy_rep(_shifted(g, u, -_GRAD_STEP)), N))
+        for u in basis
+    ]
+    points = tuple(
+        (s, *_covector(T, basis, [
+            _log_difference(plus[s.p, s.q], minus[s.p, s.q], _GRAD_STEP) for plus, minus in sweeps
+        ]).basis_coordinates(T))
+        for s in slopes
+    )
     pts = [(gx, gy) for _, gx, gy in points]
     hull = convex_hull_indices(pts)
     hull_set = set(hull)
@@ -264,15 +291,11 @@ def convex_cloud(g: ShearStructure, N: int) -> CloudReport:
 
 # -- twist derivatives ---------------------------------------------------------
 
-def _slope_length_in_rep(rep, s: Slope) -> float:
-    return word_length(rep, slope_word(s))
-
-
 def twist_derivative(g: ShearStructure, along: Slope, of: Slope, step: float = _TWIST_STEP) -> float:
     """Central difference of len(of) along the unit Fenchel-Nielsen twist in `along`."""
     rep = shear_to_holonomy_rep(g)
-    plus = _slope_length_in_rep(earthquake_twist(rep, along, step), of)
-    minus = _slope_length_in_rep(earthquake_twist(rep, along, -step), of)
+    plus = slope_length(earthquake_twist(rep, along, step), of)
+    minus = slope_length(earthquake_twist(rep, along, -step), of)
     return (plus - minus) / (2.0 * step)
 
 

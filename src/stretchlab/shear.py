@@ -17,11 +17,32 @@ holonomy, and the zero-shear once-punctured torus has trace triple (3, 3, 3).
 Holonomy representations of the once-punctured torus are based at the flag
 "triangle 0 facing side 1"; the slope (0,1) loop starts one left turn away
 from that flag, whence the conjugation in `shear_to_holonomy_rep`.
+
+Slope lengths never multiply matrices along a word.  The Christoffel word of
+a Stern-Brocot mediant is the product l.r of its parents' words, so the
+Fricke identity
+
+    tr(l.r) = tr(l) tr(r) - tr(l.r^-1)
+
+gives every slope trace in O(1) from its parents.  A tree node carries
+(tr l, tr r, d = tr(l.r^-1)); its mediant m has trace tr l tr r - d, and its
+children are (l, m) with d = tr r and (m, r) with d = tr l.  The slopes with
+p >= 0 hang below the roots a = (1,0) and b = (0,1), with d = tr a tr b - tr ab;
+those with p < 0 below a^-1 = (-1,0) and b, with d = tr ab.  `slope_lengths`
+walks the whole tree down to a complexity bound and `slope_length` walks the
+path to one slope; both take the same steps, so they agree bit for bit.
+
+Since the commutator trace is -2, tr m and d are the two roots of
+z^2 - tr l tr r z + tr l^2 + tr r^2 = 0.  When d is the larger root, tr m is
+taken as (tr l^2 + tr r^2) / d, which does not cancel: that is the step down
+to a short curve whose neighbours are long, where tr l tr r - d would lose
+the digits of a pinched length.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +55,7 @@ from .errors import (
     IncompatibleLoop,
     NotHyperbolic,
     NotStandardTorus,
+    NumericalOverflow,
 )
 from .hypgeom import IsometryMatrix
 from .surface import (
@@ -44,12 +66,12 @@ from .surface import (
     Slope,
     Turn,
     puncture_loops,
-    slope_word,
     standard_torus_triangulation,
 )
 
 COMPLETENESS_TOL = 1e-9
 _PARABOLIC_TOL = 1e-9
+_MAX_EXP = math.log(sys.float_info.max)  # exp overflows a double beyond this
 
 Mat = tuple[float, float, float, float]
 
@@ -72,17 +94,38 @@ def _inv(m: Mat) -> Mat:
 
 
 def _edge_matrix(x: float) -> Mat:
+    if abs(x) / 2.0 > _MAX_EXP:
+        raise NumericalOverflow(f"shear {x} is too large: exp({x}/2) overflows a double")
     e = math.exp(x / 2.0)
     return (0.0, e, -1.0 / e, 0.0)
 
 
-def _length_from_trace(tr: float) -> float:
+def _length_from_trace(tr: float, err: float = 0.0) -> float:
+    """Translation length 2 acosh(|tr|/2).
+
+    A nonzero `err` is the rounding error of `tr` (the exact trace is
+    tr + err).  A trace near 2 then gives its length as 4 asinh(sqrt(e/4))
+    with e = |tr| - 2 + sign(tr) err, which keeps digits that the rounding of
+    tr would lose: a pinched curve of length l has |tr| - 2 ~ l^2/4.
+    """
     t = abs(tr)
+    if not t < math.inf:
+        raise NumericalOverflow(f"holonomy trace is {tr}: it overflowed double precision")
     if t <= 2.0 + _PARABOLIC_TOL:
         if t < 2.0 - _PARABOLIC_TOL:
             raise EllipticHolonomy(f"elliptic holonomy, |trace| = {t}")
         return 0.0
+    if err and t <= 4.0:  # t - 2 is exact here
+        return 4.0 * math.asinh(math.sqrt(((t - 2.0) + (err if tr > 0.0 else -err)) / 4.0))
     return 2.0 * math.acosh(t / 2.0)
+
+
+def _generator_length(m: Mat) -> float:
+    """Length of a generator, from the exact sum of its diagonal (TwoSum)."""
+    x, y = m[0], m[3]
+    tr = x + y
+    z = tr - x
+    return _length_from_trace(tr, (x - (tr - z)) + (y - z))
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,13 +265,71 @@ def word_length(H: HolonomyRep, w: FreeWord) -> float:
     return _length_from_trace(m[0] + m[3])
 
 
+def _fricke_step(tl: float, tr: float, d: float) -> float:
+    """tr(l.r) from tr l, tr r and d = tr(l.r^-1), as the other root of
+    z^2 - tl tr z + tl^2 + tr^2 = 0, in whichever form does not cancel."""
+    p = tl * tr
+    if abs(d) > 0.5 * abs(p):
+        return (tl * tl + tr * tr) / d
+    return p - d
+
+
+def _farey_root(H: HolonomyRep, mirrored: bool) -> tuple[float, float, float]:
+    """(tr l, tr r, tr(l.r^-1)) at the root of the p >= 0 tree, or of the p < 0 one."""
+    ta, tb, tab = H.trace_triple()
+    if not abs(tab) < math.inf:
+        raise NumericalOverflow(f"trace of ab is {tab}: it overflowed double precision")
+    return (ta, tb, tab) if mirrored else (ta, tb, _fricke_step(ta, tb, tab))
+
+
+def slope_lengths(H: HolonomyRep, N: int) -> dict[tuple[int, int], float]:
+    """Length of every canonical slope (p, q) with |p| + |q| <= N, keyed by (p, q)."""
+    if N < 1:
+        raise ValueError("slope bound must be at least 1")
+    out = {(1, 0): _generator_length(H.A.entries()), (0, 1): _generator_length(H.B.entries())}
+    step, length = _fricke_step, _length_from_trace
+    for sign in (1, -1):
+        stack = [(1, 0, 0, 1, *_farey_root(H, sign < 0))]
+        pop, push = stack.pop, stack.append
+        while stack:
+            lp, lq, rp, rq, tl, tr, d = pop()
+            mp, mq = lp + rp, lq + rq
+            if mp + mq > N:
+                continue
+            tm = step(tl, tr, d)
+            out[sign * mp, mq] = length(tm)
+            push((mp, mq, rp, rq, tm, tr, tl))
+            push((lp, lq, mp, mq, tl, tm, tr))
+    return out
+
+
+def slope_length(H: HolonomyRep, s: Slope) -> float:
+    """Length of one slope, by the Fricke steps of `slope_lengths` along its tree path."""
+    if s.q == 0:
+        return _generator_length(H.A.entries())
+    if s.p == 0:
+        return _generator_length(H.B.entries())
+    p, q = abs(s.p), s.q
+    tl, tr, d = _farey_root(H, s.p < 0)
+    lp, lq, rp, rq = 1, 0, 0, 1
+    while True:
+        mp, mq = lp + rp, lq + rq
+        tm = _fricke_step(tl, tr, d)
+        if (mp, mq) == (p, q):
+            return _length_from_trace(tm)
+        if q * mp < p * mq:  # the slope lies between l and the mediant
+            rp, rq, tr, d = mp, mq, tm, tr
+        else:
+            lp, lq, tl, d = mp, mq, tm, tl
+
+
 def curve_length(S: ShearStructure, c: Curve) -> float:
     """Geodesic length of a curve class: translation length of its holonomy."""
     if isinstance(c, CombinatorialLoop):
         m = holonomy_of_loop(S, c)
         return _length_from_trace(m.trace)
     if isinstance(c, Slope):
-        return word_length(shear_to_holonomy_rep(S), slope_word(c))
+        return slope_length(shear_to_holonomy_rep(S), c)
     if isinstance(c, FreeWord):
         return word_length(shear_to_holonomy_rep(S), c)
     raise TypeError(f"not a curve: {c!r}")

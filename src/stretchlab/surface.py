@@ -262,16 +262,10 @@ def enumerate_slopes(N: int) -> list[Slope]:
         raise ValueError("slope bound must be at least 1")
     found = []
     for total in range(1, N + 1):
-        level = []
-        for p in range(-total, total + 1):
+        for p in range(-total, total + 1):  # p ascends, so each level comes out sorted
             q = total - abs(p)
-            if q == 0:
-                if p == 1:
-                    level.append(Slope(1, 0))
-            elif math.gcd(abs(p), q) == 1:
-                level.append(Slope(p, q))
-        level.sort(key=lambda s: (s.p, s.q))
-        found.extend(level)
+            if (q > 0 and math.gcd(abs(p), q) == 1) or (p, q) == (1, 0):
+                found.append(Slope(p, q))
     return found
 
 

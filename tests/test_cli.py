@@ -69,6 +69,50 @@ def test_malformed_surface_file_exit_2(tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gluings", [[[0, 1]], [[[0, 0]]], [[[0, 3], [1, 0]]], 5])
+def test_malformed_gluings_exit_2(tmp_path, capsys, gluings):
+    doc = {"surface": "x", "triangulation": {"triangles": 2, "gluings": gluings},
+           "shears": {"e0": 0.0, "e1": 0.0, "e2": 0.0}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["length", str(path), "slope:1/0"]) == 2
+    assert "gluing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '[]',
+    '{"surface": "x", "triangulation": "S_1_1", "shears": 5}',
+    '{"surface": "x", "triangulation": "S_1_1", "shears": {"e0": null, "e1": 0, "e2": 0}}',
+    '{"surface": "x", "triangulation": "S_1_1", "shears": {"e0": [0], "e1": 0, "e2": 0}}',
+    '{"surface": "x", "triangulation": {"triangles": [2], "gluings": []}, "shears": {}}',
+])
+def test_malformed_surface_values_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["length", str(path), "slope:1/0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("shears, curve", [
+    ((0.0, 300.0, -300.0), "slope:5/7"),
+    ((0.0, 300.0, -300.0), "slope:40/41"),
+    ((0.0, 300.0, -300.0), "word:ababababababab"),
+    ((0.0, 1500.0, -1500.0), "slope:1/0"),
+])
+def test_overflowing_lengths_exit_2(tmp_path, capsys, shears, curve):
+    path = write_surface(tmp_path, "big.json", ShearStructure(TORUS, shears))
+    assert main(["length", path, curve]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err
+
+
+def test_kmetric_overflowing_structure_exit_2(tmp_path, capsys):
+    path = write_surface(tmp_path, "big.json", ShearStructure(TORUS, (0.0, 1500.0, -1500.0)))
+    assert main(["kmetric", path, path]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 # -- kmetric ------------------------------------------------------------------------
 
 def test_kmetric_identical_structures(zero_file, capsys):
@@ -248,18 +292,6 @@ def test_track_invalid_file_exit_2(tmp_path, capsys):
 
 
 # -- determinism and the console script -------------------------------------------------
-
-def test_output_bytes_independent_of_thread_count(tmp_path, capsys, monkeypatch):
-    rng = random.Random(25)
-    g_file = write_surface(tmp_path, "g.json", random_complete(rng))
-    h_file = write_surface(tmp_path, "h.json", random_complete(rng))
-    monkeypatch.setenv("STRETCHLAB_THREADS", "1")
-    main(["kmetric", g_file, h_file, "--max-complexity", "10"])
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("STRETCHLAB_THREADS", "4")
-    main(["kmetric", g_file, h_file, "--max-complexity", "10"])
-    assert capsys.readouterr().out == serial
-
 
 def test_module_invocation_smoke(zero_file):
     proc = subprocess.run(

@@ -79,15 +79,6 @@ def test_k_lower_input_validation():
         k_lower_bound(ZERO, ZERO, puncture_loops(TORUS))
 
 
-def test_k_lower_deterministic_under_threads(monkeypatch):
-    rng = random.Random(4)
-    g, h = random_complete(rng), random_complete(rng)
-    base = k_lower_bound(g, h, CURVES_12)
-    for setting in ("4", "0"):  # explicit cap and auto
-        monkeypatch.setenv("STRETCHLAB_THREADS", setting)
-        assert k_lower_bound(g, h, CURVES_12) == base
-
-
 def test_triangle_inequality_exact_on_shared_curve_set():
     rng = random.Random(5)
     curves = enumerate_slopes(10)
@@ -121,6 +112,24 @@ def test_k_estimate_distinct_pair_positive():
     g, h = random_complete(rng), random_complete(rng)
     report = k_estimate(g, h, (6, 10))
     assert report.k_lower > 0.0
+
+
+@pytest.mark.parametrize("schedule", [(5, 10, 20), (20, 40, 80)])
+def test_k_estimate_equals_per_level_sweeps(schedule):
+    # the definition: k_lower_bound on each level's slopes, stabilized when the
+    # last two levels agree on the best curve and the bound
+    rng = random.Random(sum(schedule))
+    for _ in range(20):
+        g, h = random_complete(rng), random_complete(rng)
+        reports = [k_lower_bound(g, h, enumerate_slopes(n)) for n in schedule]
+        prev, last = reports[-2:]
+        stabilized = prev.best_curve == last.best_curve and abs(prev.k_lower - last.k_lower) <= 1e-10
+        got = k_estimate(g, h, schedule)
+        assert got.best_curve == last.best_curve
+        assert got.k_lower == last.k_lower
+        assert got.stabilized == stabilized
+        assert got.rows == last.rows
+        assert got.levels == schedule
 
 
 def test_k_estimate_schedule_validation():
@@ -198,6 +207,14 @@ def test_cloud_hull_verdicts_random_structures(seed):
     report = convex_cloud(g, 12)
     assert report.origin_interior
     assert report.all_vertices
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_cloud_points_equal_per_slope_gradients(seed):
+    g = random_complete(random.Random(seed))
+    report = convex_cloud(g, 12)
+    for s, x, y in report.points:
+        assert (x, y) == grad_log_length(g, s).basis_coordinates(TORUS)
 
 
 def test_cloud_requires_torus_hyperplane():

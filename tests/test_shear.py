@@ -8,6 +8,7 @@ product code.
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,10 @@ from stretchlab import (
     shear_from_transverse,
     shear_to_holonomy_rep,
     shears_from_coefficients,
+    slope_length,
+    slope_lengths,
     slope_word,
+    enumerate_slopes,
     standard_torus_triangulation,
     stretch,
     transverse_slope_weights,
@@ -198,10 +202,73 @@ def test_rep_validates_commutator():
 
 
 def test_slope_lengths_match_free_word_route():
+    # two kernels: Fricke steps down the Farey tree against the word's matrix product
     S = ShearStructure(TORUS, shears_from_coefficients(TORUS, (0.9, -0.2)))
     rep = shear_to_holonomy_rep(S)
     for s in (Slope(2, 1), Slope(-1, 2), Slope(3, 5)):
-        assert curve_length(S, s) == word_length(rep, slope_word(s))
+        assert curve_length(S, s) == pytest.approx(word_length(rep, slope_word(s)), rel=1e-13)
+
+
+# -- the Farey-tree trace kernel ----------------------------------------------------------
+
+def test_slope_sweep_equals_single_slope_walk_bit_for_bit():
+    rng = random.Random(41)
+    slopes = enumerate_slopes(60)
+    for _ in range(10):
+        S = random_complete(rng)
+        rep = shear_to_holonomy_rep(S)
+        swept = slope_lengths(rep, 60)
+        assert sorted(swept) == sorted((s.p, s.q) for s in slopes)
+        for s in slopes:
+            assert swept[s.p, s.q] == slope_length(rep, s) == curve_length(S, s)
+
+
+def test_slope_sweep_bound_validation():
+    with pytest.raises(ValueError):
+        slope_lengths(shear_to_holonomy_rep(ZERO), 0)
+    assert sorted(slope_lengths(shear_to_holonomy_rep(ZERO), 1)) == [(0, 1), (1, 0)]
+
+
+def _word_product_lengths(rep, N):
+    """50-digit lengths of all slopes with |p|+|q| <= N from matrix products of
+    their Christoffel words, the mediant's matrix being the product of its
+    parents' (no trace identity involved)."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+
+    def lift(m):
+        return ctx.matrix([[m[0], m[1]], [m[2], m[3]]])
+
+    def length(m):
+        return 2 * ctx.acosh(abs(m[0, 0] + m[1, 1]) / 2)
+
+    a, b = lift(rep.A.entries()), lift(rep.B.entries())
+    out = {(1, 0): length(a), (0, 1): length(b)}
+    for sign, left in ((1, a), (-1, a ** -1)):
+        stack = [((1, 0), (0, 1), left, b)]
+        while stack:
+            lv, rv, ml, mr = stack.pop()
+            mv = (lv[0] + rv[0], lv[1] + rv[1])
+            if mv[0] + mv[1] > N:
+                continue
+            mm = ml * mr
+            out[sign * mv[0], mv[1]] = length(mm)
+            stack.append((lv, mv, ml, mm))
+            stack.append((mv, rv, mm, mr))
+    return out
+
+
+@pytest.mark.parametrize("shears", [
+    *(shears_from_coefficients(TORUS, (c1, c2)) for c1, c2 in ((0.4, -1.1), (1.6, 0.9), (-1.3, 0.2))),
+    *((0.0, float(m), -float(m)) for m in range(6, 13)),
+])
+def test_slope_lengths_against_50_digit_word_products(shears):
+    rep = shear_to_holonomy_rep(ShearStructure(TORUS, shears))
+    swept = slope_lengths(rep, 80)
+    exact = _word_product_lengths(rep, 80)
+    assert swept.keys() == exact.keys()
+    worst = max(abs(swept[k] - exact[k]) / exact[k] for k in exact)
+    assert worst <= 1e-12
 
 
 # -- stretch -----------------------------------------------------------------------------
