@@ -6,7 +6,6 @@ estimation of the minimal-Lipschitz metric K(g, h).
 """
 
 from .errors import (
-    BasisChangeFailed,
     DegeneratePolygon,
     EllipticHolonomy,
     IncompatibleLoop,

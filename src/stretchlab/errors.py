@@ -25,12 +25,9 @@ class NotStandardTorus(StretchlabError):
     """Operation is only defined on the standard once-punctured-torus triangulation."""
 
 
-class BasisChangeFailed(StretchlabError):
-    """No unimodular completion of a slope was found (defensive; coprime slopes always have one)."""
-
-
 class NumericalOverflow(StretchlabError):
-    """A shear or a holonomy trace lies beyond double precision, so no finite length can be given."""
+    """A shear, a holonomy product or a holonomy trace lies beyond double precision,
+    so no finite length can be given."""
 
 
 class ZeroLength(StretchlabError):

@@ -37,6 +37,19 @@ z^2 - tr l tr r z + tr l^2 + tr r^2 = 0.  When d is the larger root, tr m is
 taken as (tr l^2 + tr r^2) / d, which does not cancel: that is the step down
 to a short curve whose neighbours are long, where tr l tr r - d would lose
 the digits of a pinched length.
+
+The Fenchel-Nielsen twist (`earthquake_twist`) works on trace triples too.
+For a basis (g, h) with the orientation of (a, b), the twist by t along g
+replaces h by tau h, tau the translation by t along the axis of g.  In the
+eigenframe of g, g = diag(e, 1/e) with e = exp(l_g / 2) and h has diagonal
+(alpha, delta); the twist maps it to (alpha e^(t/2), delta e^(-t/2)), which
+gives tr h and tr gh after the twist.  For a slope s the walk goes down the
+Stern-Brocot path to s with the Fricke steps above, twists the basis
+(s, right parent of s) there, and climbs back to (tr a, tr b, tr ab) by the
+same steps, each recovering a parent from its child.  The matrices are then
+rebuilt as C N C^-1 from a normal form N of the new triple, with C the frame
+of the old one, so the result is a conjugate of the twisted representation
+and a twist by -t returns H up to roundoff.
 """
 
 from __future__ import annotations
@@ -46,10 +59,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
-
 from .errors import (
-    BasisChangeFailed,
     DegeneratePolygon,
     EllipticHolonomy,
     IncompatibleLoop,
@@ -247,7 +257,15 @@ def shear_to_holonomy_rep(S: ShearStructure) -> HolonomyRep:
     a = _mul(_mul(e1, _L), _mul(e2, _R))
     b_raw = _mul(_mul(e2, _L), _mul(e0, _R))
     b = _mul(_mul(_L, b_raw), _inv(_L))
-    return HolonomyRep(IsometryMatrix(*a), IsometryMatrix(*b))
+    try:
+        return HolonomyRep(IsometryMatrix(*a), IsometryMatrix(*b))
+    except ValueError as exc:
+        # S is complete, so products that are not det 1 with commutator
+        # trace -2 have lost their digits, not described a wrong surface
+        raise NumericalOverflow(
+            f"holonomy of shears {S.shears} overflows double precision"
+            f" (an edge-matrix product overflowed, underflowed or cancelled): {exc}"
+        ) from None
 
 
 def _word_matrix(word: str, a: Mat, b: Mat) -> Mat:
@@ -341,140 +359,150 @@ def stretch(S: ShearStructure, t: float) -> ShearStructure:
     return ShearStructure(S.triangulation, tuple(x * factor for x in S.shears))
 
 
-# -- Fenchel-Nielsen twist on the holonomy representation ---------------------
+# -- Fenchel-Nielsen twist in trace coordinates --------------------------------
 
-@dataclass(frozen=True, slots=True)
-class _Auto:
-    """Automorphism of the rank-2 free group, recorded by the generator images."""
+def _axis_eigenvalues(x: float) -> tuple[float, float, float]:
+    """(e, 1/e, e - 1/e) for e = exp(L/2), L the translation length of trace x.
 
-    img_a: str
-    img_b: str
-
-    def apply(self, word: str) -> str:
-        from .surface import free_reduce, invert_word
-
-        table = {
-            "a": self.img_a,
-            "A": invert_word(self.img_a),
-            "b": self.img_b,
-            "B": invert_word(self.img_b),
-        }
-        return free_reduce("".join(table[ch] for ch in word))
-
-    def after(self, other: "_Auto") -> "_Auto":
-        return _Auto(self.apply(other.img_a), self.apply(other.img_b))
+    e - 1/e = 2 sinh(L/2) is taken from the trace, since the difference of
+    e and 1/e cancels for a short axis.
+    """
+    ax = abs(x)
+    if not ax > 2.0:
+        raise NotHyperbolic(f"twist axis is not hyperbolic, trace {x}")
+    sh = math.sqrt((ax - 2.0) * (ax + 2.0))
+    return (ax + sh) / 2.0, 2.0 / (ax + sh), sh
 
 
-_AUTO_ID = _Auto("a", "b")
-_AUTO_S = _Auto("b", "A")       # realizes [[0,-1],[1,0]] on homology
-_AUTO_S_INV = _Auto("B", "a")
-_AUTO_NEG = _Auto("A", "B")     # elliptic involution, realizes -I
+def _axis_diagonal(x: float, y: float, z: float) -> tuple[float, float, float, float, float]:
+    """(e, 1/e, e - 1/e, alpha, delta) for a basis (g, h) with tr g = x, tr h = y, tr gh = z.
+
+    In the eigenframe of g, g = sign(x) diag(e, 1/e) with e = exp(L/2) > 1,
+    and (alpha, delta) is the diagonal of h.  The linear system
+    alpha + delta = y, e alpha + delta / e = sign(x) z gives the larger of
+    the two, and alpha delta = coth^2(L/2) (commutator trace -2) the
+    smaller, so neither is a difference of nearly equal numbers.
+    """
+    e, ei, sh = _axis_eigenvalues(x)
+    v = z if x > 0.0 else -z
+    alpha, delta = (v - y * ei) / sh, (y * e - v) / sh
+    product = (abs(x) / sh) ** 2
+    if abs(alpha) >= abs(delta):
+        delta = product / alpha
+    else:
+        alpha = product / delta
+    return e, ei, sh, alpha, delta
 
 
-def _auto_t_power(k: int) -> _Auto:
-    # realizes [[1,k],[0,1]]: a -> a, b -> b a^k
-    tail = ("a" * k) if k >= 0 else ("A" * (-k))
-    return _Auto("a", "b" + tail)
+def _twist_pair(x: float, y: float, z: float, t: float) -> tuple[float, float]:
+    """(tr h', tr gh') for h' = tau h, tau the translation by t along g's axis."""
+    if abs(t) / 2.0 > _MAX_EXP:
+        raise NumericalOverflow(f"twist {t} is too large: exp({t}/2) overflows a double")
+    e, ei, _, alpha, delta = _axis_diagonal(x, y, z)
+    et = math.exp(t / 2.0)
+    alpha, delta = alpha * et, delta / et
+    w = alpha * e + delta * ei
+    return alpha + delta, (w if x > 0.0 else -w)
 
 
-def _unimodular_completion(s: Slope) -> tuple[int, int]:
-    """(r, s') with p*s' - q*r = 1, so [[p, r], [q, s']] is in SL(2, Z)."""
-    p, q = s.p, s.q
-    old_r, r = p, q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_u, u = u, old_u - quotient * u
-        old_v, v = v, old_v - quotient * v
-    if old_r == -1:
-        old_u, old_v = -old_u, -old_v
-        old_r = 1
-    if old_r != 1 or p * old_u + q * old_v != 1:
-        raise BasisChangeFailed(f"no unimodular completion for slope ({p},{q})")
-    return (-old_v, old_u)
+def _twisted_traces(x: float, y: float, z: float, s: Slope, t: float) -> tuple[float, float, float]:
+    """(tr a, tr b, tr ab) after a twist by t along s, from (x, y, z) before it.
+
+    The walk down the Stern-Brocot tree carries the traces (tr l, tr r,
+    tr lr) of each Farey basis (l, r) on the path to s.  At the bottom the
+    pair (s, right parent of s) is twisted in closed form; the walk back up
+    recovers each parent from its child by the Fricke step, since the two
+    roots of z^2 - tr X tr Y z + tr X^2 + tr Y^2 = 0 are tr XY and tr XY^-1.
+    The bases below a^-1 = (-1,0), and (b, a), have the opposite orientation
+    to (a, b), so the twist runs the other way in them.
+    """
+    step = _fricke_step
+    if s.q == 0:
+        y, z = _twist_pair(x, y, z, t)
+        return x, y, z
+    if s.p == 0:
+        x, z = _twist_pair(y, x, z, -t)
+        return x, y, z
+    p, q = abs(s.p), s.q
+    if s.p < 0:  # root (a^-1, b), whose product is a^-1 b
+        z, t = step(x, y, z), -t
+    tl, tr, tm = x, y, z
+    lp, lq, rp, rq = 1, 0, 0, 1
+    moves = []  # True where the walk went to the left child (l, m)
+    while (lp + rp, lq + rq) != (p, q):
+        mp, mq = lp + rp, lq + rq
+        left = q * mp < p * mq
+        if left:
+            rp, rq, tr, tm = mp, mq, tm, step(tl, tm, tr)
+        else:
+            lp, lq, tl, tm = mp, mq, tm, step(tm, tr, tl)
+        moves.append(left)
+    x, y, z = tm, tr, step(tm, tr, tl)  # the basis (s, r) is the right child of (l, r)
+    y, z = _twist_pair(x, y, z, t)
+    moves.append(False)
+    for left in reversed(moves):
+        other = step(x, y, z)
+        x, y, z = (x, other, y) if left else (other, y, x)
+    return (x, y, step(x, y, z)) if s.p < 0 else (x, y, z)
 
 
-def _slope_automorphism(s: Slope) -> tuple[_Auto, _Auto]:
-    """Automorphism pair (phi, phi^{-1}) with phi sending 'a' to the slope's class."""
-    r, sp = _unimodular_completion(s)
-    # peel N = [[p,r],[q,sp]] into T^k and S factors by integer row reduction
-    a, b, c, d = s.p, r, s.q, sp
-    forward: list[_Auto] = []
-    backward: list[_Auto] = []
-    while c != 0:
-        k = a // c
-        # strip a leading T^k then a leading S:  N = T^k . S . N'
-        forward.append(_auto_t_power(k))
-        backward.append(_auto_t_power(-k))
-        a, b = a - k * c, b - k * d
-        forward.append(_AUTO_S)
-        backward.append(_AUTO_S_INV)
-        a, b, c, d = c, d, -a, -b
-    if a == -1:
-        a, b, d = -a, -b, -d
-        forward.append(_AUTO_NEG)
-        backward.append(_AUTO_NEG)
-    # what remains is the upper-triangular T^b
-    forward.append(_auto_t_power(b))
-    backward.append(_auto_t_power(-b))
-    phi = _AUTO_ID
-    for f in forward:
-        phi = phi.after(f)
-    phi_inv = _AUTO_ID
-    for g in reversed(backward):
-        phi_inv = phi_inv.after(g)
-    return phi, phi_inv
+def _normal_form(x: float, y: float, z: float, sign: float) -> tuple[Mat, Mat]:
+    """The rep with trace triple (x, y, z) whose A is diagonal (attracting
+    eigenvalue first) and whose B is symmetric, with off-diagonal entries
+    sign / sinh(l_a / 2)."""
+    e, ei, sh, alpha, delta = _axis_diagonal(x, y, z)
+    beta = sign * 2.0 / sh
+    a = (e, 0.0, 0.0, ei) if x > 0.0 else (-e, 0.0, 0.0, -ei)
+    return a, (alpha, beta, beta, delta)
 
 
-_TWIST_DPS = 60
+def _normal_frame(a: Mat, b: Mat) -> tuple[Mat, float]:
+    """(C, sign) with det C = 1 and (A, B) = C N C^-1, N = _normal_form(traces of A, B, sign).
 
+    The columns of C are eigenvectors of A, each taken from whichever row of
+    A - lambda I gives it without cancellation, then scaled so that C^-1 B C
+    is symmetric.
+    """
+    x = a[0] + a[3]
+    e, ei, _ = _axis_eigenvalues(x)
+    if x < 0.0:
+        e, ei = -e, -ei
 
-def _axis_translation_extended(m, t):
-    """Same-axis translation by t; entries are mpmath floats."""
-    a, b, c, d = m
-    if a + d < 0:
-        a, b, c, d = -a, -b, -c, -d
-    tr = a + d
-    if tr * tr <= 4:
-        raise NotHyperbolic(f"twist axis is not hyperbolic, trace {float(tr)}")
-    root = mp.sqrt(tr * tr - 4)
-    lam = (tr + root) / 2
-    mu = (tr - root) / 2
-    scale = 1 / (lam - mu)
-    pa, pb, pc, pd = (a - mu) * scale, b * scale, c * scale, (d - mu) * scale
-    ep = mp.exp(mp.mpf(t) / 2)
-    em = 1 / ep
-    return (ep * pa + em * (1 - pa), (ep - em) * pb, (ep - em) * pc, ep * pd + em * (1 - pd))
+    def eigenvector(lam: float) -> tuple[float, float]:
+        u, v = (a[1], lam - a[0]), (lam - a[3], a[2])
+        return u if max(abs(u[0]), abs(u[1])) >= max(abs(v[0]), abs(v[1])) else v
+
+    (p0, p2), (p1, p3) = eigenvector(e), eigenvector(ei)
+    det = p0 * p3 - p1 * p2
+    k = 1.0 / math.sqrt(abs(det))
+    p = (p0 * k, p1 * math.copysign(k, det), p2 * k, p3 * math.copysign(k, det))
+    m = _mul(_mul(_inv(p), b), p)
+    k = (m[1] / m[2]) ** 0.25
+    return (p[0] * k, p[1] / k, p[2] * k, p[3] / k), math.copysign(1.0, m[1])
 
 
 def earthquake_twist(H: HolonomyRep, s: Slope, t: float) -> HolonomyRep:
     """Fenchel-Nielsen twist of distance t along the simple closed curve of slope s.
 
-    The basis is changed by a unimodular map sending s to (1,0), the second
-    generator is premultiplied by the translation of distance t along the
-    first generator's axis, and the basis change is undone.  The word
-    evaluations run in extended precision: the basis-change conjugators can
-    be far larger than the result, and the commutator invariant must still
-    come out at -2 within 1e-9 after rounding to double.
+    The twisted trace triple comes from `_twisted_traces`, in doubles.  The
+    matrices are C N(x', y', z') C^-1, where N is the normal form of
+    `_normal_form` and C the frame with H = C N(x, y, z) C^-1.  So the result
+    is a conjugate of the twisted representation, not a particular one, in a
+    frame that depends on H alone: traces, lengths and the commutator are
+    those of the twist, and twisting back by -t returns H up to roundoff.
     """
     if t == 0.0:
         return H
-    phi, phi_inv = _slope_automorphism(s)
-    with mp.workdps(_TWIST_DPS):
-        a_mat = tuple(mp.mpf(x) for x in H.A.entries())
-        b_mat = tuple(mp.mpf(x) for x in H.B.entries())
-        a_new = _word_matrix(phi.img_a, a_mat, b_mat)
-        b_new = _word_matrix(phi.img_b, a_mat, b_mat)
-        tau = _axis_translation_extended(a_new, t)
-        b_twisted = _mul(tau, b_new)
-        a2 = _word_matrix(phi_inv.img_a, a_new, b_twisted)
-        b2 = _word_matrix(phi_inv.img_b, a_new, b_twisted)
-    return HolonomyRep(
-        IsometryMatrix(*(float(x) for x in a2)),
-        IsometryMatrix(*(float(x) for x in b2)),
-    )
+    frame, sign = _normal_frame(H.A.entries(), H.B.entries())
+    na, nb = _normal_form(*_twisted_traces(*H.trace_triple(), s, t), sign)
+    back = _inv(frame)
+    try:
+        return HolonomyRep(
+            IsometryMatrix(*_mul(_mul(frame, na), back)),
+            IsometryMatrix(*_mul(_mul(frame, nb), back)),
+        )
+    except ValueError as exc:  # an inf or nan entry, or digits lost to the size of the traces
+        raise NumericalOverflow(f"twist by {t} along {s.spec()} overflows double precision: {exc}") from None
 
 
 # -- transverse weights and the alternating-sum formula -----------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -98,6 +99,8 @@ def test_malformed_surface_values_exit_2(tmp_path, capsys, text):
     ((0.0, 300.0, -300.0), "slope:40/41"),
     ((0.0, 300.0, -300.0), "word:ababababababab"),
     ((0.0, 1500.0, -1500.0), "slope:1/0"),
+    ((300.0, -300.0, 0.0), "slope:1/0"),
+    ((0.0, 1000.0, -1000.0), "slope:1/1"),
 ])
 def test_overflowing_lengths_exit_2(tmp_path, capsys, shears, curve):
     path = write_surface(tmp_path, "big.json", ShearStructure(TORUS, shears))
@@ -302,6 +305,16 @@ def test_module_invocation_smoke(zero_file):
     assert proc.returncode == 0
     assert proc.stdout == "1.92484730024\n"
     assert proc.stderr == ""
+
+
+def test_import_does_not_load_mpmath():
+    import stretchlab
+
+    src = os.path.dirname(os.path.dirname(stretchlab.__file__))
+    code = "import sys, stretchlab, stretchlab.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_general_triangulation_file_roundtrip_and_length(tmp_path, capsys):

@@ -21,6 +21,7 @@ from stretchlab import (
     IncompatibleLoop,
     IsometryMatrix,
     NotStandardTorus,
+    NumericalOverflow,
     ShearStructure,
     Slope,
     Turn,
@@ -310,10 +311,8 @@ def test_twist_preserves_own_length(pq):
         tw = earthquake_twist(rep, s, 0.8)
         before = word_length(rep, slope_word(s))
         after = word_length(tw, slope_word(s))
-        # invariance is exact (the twisted holonomy of s is a conjugate);
-        # longer basis-change words accumulate more roundoff
-        tol = 1e-12 if abs(pq[0]) + abs(pq[1]) <= 3 else 1e-9
-        assert abs(after - before) <= tol
+        # invariance is exact: the twisted holonomy of s is a conjugate
+        assert abs(after - before) <= 1e-12
 
 
 @given(complete_structures(), st.floats(min_value=-1.5, max_value=1.5, allow_nan=False))
@@ -322,6 +321,153 @@ def test_twist_preserves_completeness(S, t):
     rep = shear_to_holonomy_rep(S)
     tw = earthquake_twist(rep, Slope(1, 1), t)
     assert abs(tw.commutator_trace() + 2.0) <= 1e-9
+
+
+def _twisted_triple_50(rep, s, t):
+    """50-digit trace triple of rep twisted by t along s, by matrix products.
+
+    Walks the Farey bases (l, r) down to s, multiplying matrices; twists the
+    bottom basis, taken with the orientation of (a, b), by the translation
+    along the axis of s; and recovers each parent basis from its child by
+    one product: r = l^-1 m below a left move, l = m r^-1 below a right one.
+    No trace identity is involved.
+    """
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    one = ctx.eye(2)
+
+    def lift(m):
+        return ctx.matrix([[m[0], m[1]], [m[2], m[3]]])
+
+    def translation(g):
+        if g[0, 0] + g[1, 1] < 0:
+            g = -g
+        tr = g[0, 0] + g[1, 1]
+        root = ctx.sqrt(tr * tr - 4)
+        proj = (g - (tr - root) / 2 * one) / root  # onto the attracting eigenline
+        return ctx.exp(ctx.mpf(t) / 2) * proj + ctx.exp(-ctx.mpf(t) / 2) * (one - proj)
+
+    def trace(m):
+        return m[0, 0] + m[1, 1]
+
+    a, b = lift(rep.A.entries()), lift(rep.B.entries())
+    if s.q == 0:
+        b = translation(a) * b
+    elif s.p == 0:  # (b, a^-1) has the orientation of (a, b)
+        a = (translation(b) * a ** -1) ** -1
+    else:
+        p, q = abs(s.p), s.q
+        l, r = (a if s.p > 0 else a ** -1), b
+        lv, rv = (1, 0), (0, 1)
+        moves = []
+        while (lv[0] + rv[0], lv[1] + rv[1]) != (p, q):
+            mv = (lv[0] + rv[0], lv[1] + rv[1])
+            left = q * mv[0] < p * mv[1]
+            if left:
+                rv, r = mv, l * r
+            else:
+                lv, l = mv, l * r
+            moves.append(left)
+        x, y = l * r, r
+        # below a^-1 the bases have the other orientation, so twist (s, r^-1)
+        y = translation(x) * y if s.p > 0 else (translation(x) * y ** -1) ** -1
+        for left in reversed([*moves, False]):
+            x, y = (x, x ** -1 * y) if left else (x * y ** -1, y)
+        a, b = (x if s.p > 0 else x ** -1), y
+    return trace(a), trace(b), trace(a * b)
+
+
+TWIST_SLOPES = [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (3, 2), (-3, 5), (6, 5), (-5, 7), (1, 8)]
+
+
+@pytest.mark.parametrize("pq", TWIST_SLOPES)
+def test_twisted_traces_against_50_digit_matrix_products(pq):
+    rng = random.Random(hash(pq) & 0xFFFF)
+    s = Slope(*pq)
+    for _ in range(6):
+        rep = shear_to_holonomy_rep(random_complete(rng, scale=1.0))
+        t = rng.uniform(-1.5, 1.5)
+        got = earthquake_twist(rep, s, t).trace_triple()
+        exact = _twisted_triple_50(rep, s, t)
+        for g, e in zip(got, exact):
+            assert abs(abs(g) - abs(e)) <= 1e-11 * abs(e)
+
+
+@pytest.mark.parametrize("shears, t", [
+    ((0.08543815883556416, -0.17533392471298548, 0.08989576587742132), -1.3452826052320295),
+    ((-1.0320064231849226, -1.486014616250563, 2.5180210394354856), 1.4607409650863872),
+])
+def test_twist_along_6_5_keeps_commutator_and_length(shears, t):
+    # the 60-digit automorphism route rounded these commutators off by 1e-9 and 5e-9
+    rep = shear_to_holonomy_rep(ShearStructure(TORUS, shears))
+    s = Slope(6, 5)
+    tw = earthquake_twist(rep, s, t)
+    assert abs(tw.commutator_trace() + 2.0) <= 1e-9
+    assert slope_length(tw, s) == pytest.approx(slope_length(rep, s), rel=1e-12, abs=0.0)
+
+
+def _round_trip_miss(rep, s, t):
+    back = earthquake_twist(earthquake_twist(rep, s, t), s, -t)
+    before = rep.A.entries() + rep.B.entries()
+    after = back.A.entries() + back.B.entries()
+    return max(abs(x - y) / max(1.0, abs(x)) for x, y in zip(before, after))
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("family", [(0, 1, -1), (1, 0, -1), (1, -1, 0)])
+def test_twist_round_trip_on_pinched_structures(family, m):
+    # the 60-digit automorphism route missed (8, 0, -8) along 2/1 by 6e-5
+    rep = shear_to_holonomy_rep(ShearStructure(TORUS, tuple(m * c for c in family)))
+    for pq in [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1)]:
+        for t in (0.5, -0.9):
+            assert _round_trip_miss(rep, Slope(*pq), t) <= 1e-9
+
+
+def _canonical(p, q):
+    return Slope(-p, -q) if q < 0 or (q == 0 and p < 0) else Slope(p, q)
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1)])
+def test_twist_by_full_length_is_the_dehn_twist(pq):
+    # twisting by l_s maps every curve u to u - i(u, s) s, with
+    # i(u, s) = u_p s_q - u_q s_p; no oracle is needed
+    rng = random.Random(17)
+    s = Slope(*pq)
+    slopes = enumerate_slopes(12)
+    for _ in range(10):
+        rep = shear_to_holonomy_rep(random_complete(rng, scale=1.0))
+        tw = earthquake_twist(rep, s, slope_length(rep, s))
+        for u in slopes:
+            i = u.p * s.q - u.q * s.p
+            image = _canonical(u.p - i * s.p, u.q - i * s.q)
+            assert slope_length(tw, u) == pytest.approx(slope_length(rep, image), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (0, 1), (-1, 1), (3, 2), (-3, 5)])
+def test_twists_compose_additively(pq):
+    rng = random.Random(23)
+    s = Slope(*pq)
+    for _ in range(5):
+        rep = shear_to_holonomy_rep(random_complete(rng, scale=1.0))
+        t1, t2 = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+        twice = earthquake_twist(earthquake_twist(rep, s, t1), s, t2).trace_triple()
+        once = earthquake_twist(rep, s, t1 + t2).trace_triple()
+        for a, b in zip(twice, once):
+            assert abs(abs(a) - abs(b)) <= 1e-11 * abs(b)
+
+
+@pytest.mark.parametrize("t", [600.0, 1500.0, -1e4])
+def test_twist_beyond_double_range_raises_overflow(t):
+    rep = shear_to_holonomy_rep(ZERO)
+    for pq in [(1, 0), (2, 1)]:
+        with pytest.raises(NumericalOverflow):
+            earthquake_twist(rep, Slope(*pq), t)
+
+
+@pytest.mark.parametrize("shears", [(300.0, -300.0, 0.0), (1000.0, 0.0, -1000.0), (0.0, 1000.0, -1000.0)])
+def test_holonomy_rep_beyond_double_precision_raises_overflow(shears):
+    with pytest.raises(NumericalOverflow, match="overflow"):
+        shear_to_holonomy_rep(ShearStructure(TORUS, shears))
 
 
 def test_twist_derivative_finite_nonzero():
