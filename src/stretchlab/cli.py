@@ -199,13 +199,15 @@ def cmd_kmetric(args) -> int:
     if g.triangulation != h.triangulation:
         raise ValueError("the two surfaces use different triangulations")
     report = k_estimate(g, h, _kmetric_schedule(args.max_complexity))
-    print("curve\tlen_g\tlen_h\tlog_ratio")
-    for curve, lg, lh, ratio in report.rows:
-        print(f"{curve_id(curve)}\t{_fmt(lg)}\t{_fmt(lh)}\t{_fmt(ratio)}")
-    print(
-        f"K_lower={_fmt(report.k_lower)} best={curve_id(report.best_curve)} "
-        f"stabilized={_bool(report.stabilized)}"
+    lines = ["curve\tlen_g\tlen_h\tlog_ratio\n"]
+    lines.extend(  # the rows of a slope sweep, in the format of curve_id and _fmt
+        f"slope:{s.p}/{s.q}\t{lg:.12g}\t{lh:.12g}\t{ratio:.12g}\n" for s, lg, lh, ratio in report.rows
     )
+    lines.append(
+        f"K_lower={_fmt(report.k_lower)} best={curve_id(report.best_curve)} "
+        f"stabilized={_bool(report.stabilized)}\n"
+    )
+    sys.stdout.write("".join(lines))
     if args.all_classes is not None:
         words = nonperipheral_classes(args.all_classes)
         word_report = k_lower_bound(g, h, words)

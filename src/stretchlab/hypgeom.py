@@ -11,6 +11,7 @@ All lengths and distances are in natural hyperbolic units (curvature -1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,12 +23,18 @@ _IDENTITY_TOL = 1e-12
 
 
 def _normalize(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
-    """Scale to determinant one and canonical projective sign."""
-    det = a * d - b * c
+    """Scale to determinant one and canonical projective sign.
+
+    A determinant within its own rounding error of one is taken as one: the
+    rescale would move every entry, and so the trace, by that error.
+    """
+    ad, bc = a * d, b * c
+    det = ad - bc
     if not det > 0.0 or not math.isfinite(det):
         raise ValueError(f"matrix determinant must be positive and finite, got {det}")
-    s = 1.0 / math.sqrt(det)
-    a, b, c, d = a * s, b * s, c * s, d * s
+    if abs(det - 1.0) > 4.0 * sys.float_info.epsilon * max(abs(ad), abs(bc)):
+        s = 1.0 / math.sqrt(det)
+        a, b, c, d = a * s, b * s, c * s, d * s
     for entry in (a, b, c, d):
         if abs(entry) > _SIGN_EPS:
             if entry < 0.0:

@@ -8,8 +8,8 @@ closed curve, so slope sweeps are the default schedule on the punctured torus.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import NoProgress, ZeroLength
@@ -115,41 +115,49 @@ def k_lower_bound(g: ShearStructure, h: ShearStructure, curves: Sequence[Curve])
     return RatioReport(tuple(rows), best[0], best[3], True, ())
 
 
+def _schedule_levels(schedule: Sequence[int]) -> tuple[int, ...]:
+    levels = tuple(schedule)
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("schedule must be nonempty and strictly increasing")
+    return levels
+
+
 def k_estimate(g: ShearStructure, h: ShearStructure, schedule: Sequence[int]) -> RatioReport:
     """Slope sweeps at increasing complexity bounds; stabilized means the best
     curve and the bound agreed across the last two levels.
 
-    Each level's slopes are a prefix of the last level's in `enumerate_slopes`
-    order, which is also `curve_sort_key` order.  So one Farey sweep per
-    structure at the last level serves every level: a running maximum that
-    keeps the first of equal ratios gives each level's best curve, exactly as
-    `k_lower_bound` on that level's slopes would.
+    One Farey sweep per structure at the last level serves every level.  The
+    rows come from one sort of (-ratio, |p|+q, p, q, len_g, len_h), which is
+    descending ratio with ties in `curve_sort_key` order; a level's best
+    curve is its first row with |p|+q within the level, exactly as
+    `k_lower_bound` on that level's slopes would give it.
     """
-    levels = tuple(schedule)
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("schedule must be nonempty and strictly increasing")
+    levels = _schedule_levels(schedule)
     if g.triangulation != h.triangulation:
         raise ValueError("structures must share a triangulation")
-    N = levels[-1]
-    len_g = slope_lengths(shear_to_holonomy_rep(g), N)
-    len_h = slope_lengths(shear_to_holonomy_rep(h), N)
-    rows = [_ratio_row(s, len_g[s.p, s.q], len_h[s.p, s.q]) for s in enumerate_slopes(N)]
-    bests = []
-    best = rows[0]
-    k = 0
-    for n in levels:
-        while k < len(rows) and abs(rows[k][0].p) + rows[k][0].q <= n:
-            if rows[k][3] > best[3]:
-                best = rows[k]
-            k += 1
-        bests.append(best)
-    stabilized = (
-        len(bests) >= 2
-        and bests[-2][0] == bests[-1][0]
-        and abs(bests[-2][3] - bests[-1][3]) <= _STABLE_TOL
-    )
-    rows.sort(key=itemgetter(3), reverse=True)  # stable: ties stay in curve_sort_key order
-    return RatioReport(tuple(rows), best[0], best[3], stabilized, levels)
+    len_g = slope_lengths(g, levels[-1])
+    len_h = slope_lengths(h, levels[-1])
+    log = math.log
+    table = []
+    for (p, q), lg in len_g.items():
+        lh = len_h[p, q]
+        table.append((-log(lh / lg), abs(p) + q, p, q, lg, lh))
+    table.sort()
+    stabilized = False
+    if len(levels) >= 2:
+        prev, last = next(t for t in table if t[1] <= levels[-2]), table[0]
+        stabilized = prev[2:4] == last[2:4] and abs(prev[0] - last[0]) <= _STABLE_TOL
+    rows = tuple((Slope(p, q), lg, lh, -r) for r, _, p, q, lg, lh in table)
+    return RatioReport(rows, rows[0][0], rows[0][3], stabilized, levels)
+
+
+def _best_slope(len_g: dict, len_h: dict) -> tuple[float, Slope]:
+    """(log-ratio, slope) of the best curve of two sweeps: the max of
+    (ratio, -(|p|+q), -p), which is the first of equal ratios in
+    `curve_sort_key` order, as in `k_estimate`."""
+    log = math.log
+    ratio, c, p = max((log(len_h[k] / lg), -abs(k[0]) - k[1], -k[0]) for k, lg in len_g.items())
+    return ratio, Slope(-p, -c - abs(p))
 
 
 def grad_log_length(g: ShearStructure, c: Curve, step: float = _GRAD_STEP) -> TangentCovector:
@@ -220,20 +228,32 @@ def convex_hull_indices(pts: Sequence[tuple[float, float]], tol: float = _HULL_B
     return lower[:-1] + upper[:-1]
 
 
-def _depth_inside_hull(pts, hull, p) -> float:
-    """Distance from p to the hull boundary, measured inward (0 if outside)."""
-    depth = math.inf
-    for i in range(len(hull)):
-        a = pts[hull[i]]
-        b = pts[hull[(i + 1) % len(hull)]]
+def _near_hull_boundary(pts, hull, p, tol: float, start: int) -> bool:
+    """Whether p lies outside the hull or within tol of its boundary: some edge
+    has a signed distance to p of at most tol.  The edges are scanned
+    cyclically from hull[start] and the scan stops at the first such edge."""
+    n = len(hull)
+    for k in range(start, start + n):
+        a = pts[hull[k % n]]
+        b = pts[hull[(k + 1) % n]]
         edge = math.hypot(b[0] - a[0], b[1] - a[1])
-        if edge == 0.0:
-            continue
-        signed = _cross(a, b, p) / edge
-        if signed < 0.0:
-            return 0.0
-        depth = min(depth, signed)
-    return depth
+        if edge != 0.0 and _cross(a, b, p) / edge <= tol:
+            return True
+    return False
+
+
+def _all_near_hull(pts, hull) -> bool:
+    """Whether every point is a hull vertex or within _HULL_TOL of the hull
+    boundary.  Each scan starts at the edge whose origin-centred angle range
+    holds the point: around an interior origin that is the edge nearest it."""
+    hull_set = set(hull)
+    angles = sorted((math.atan2(pts[j][1], pts[j][0]), k) for k, j in enumerate(hull))
+    for i, p in enumerate(pts):
+        if i not in hull_set:
+            k = angles[bisect_left(angles, (math.atan2(p[1], p[0]),)) - 1][1]
+            if not _near_hull_boundary(pts, hull, p, _HULL_TOL, k):
+                return False
+    return True
 
 
 def convex_cloud(g: ShearStructure, N: int) -> CloudReport:
@@ -254,13 +274,9 @@ def convex_cloud(g: ShearStructure, N: int) -> CloudReport:
     T = g.triangulation
     basis = completeness_basis(T)
     slopes = enumerate_slopes(N)
-    base = slope_lengths(shear_to_holonomy_rep(g), N)
-    for s in slopes:
-        if base[s.p, s.q] == 0.0:
-            raise ZeroLength(f"curve {curve_id(s)} is puncture-parallel; log-length is undefined")
     sweeps = [
-        (slope_lengths(shear_to_holonomy_rep(_shifted(g, u, _GRAD_STEP)), N),
-         slope_lengths(shear_to_holonomy_rep(_shifted(g, u, -_GRAD_STEP)), N))
+        (slope_lengths(_shifted(g, u, _GRAD_STEP), N),
+         slope_lengths(_shifted(g, u, -_GRAD_STEP), N))
         for u in basis
     ]
     points = tuple(
@@ -271,11 +287,7 @@ def convex_cloud(g: ShearStructure, N: int) -> CloudReport:
     )
     pts = [(gx, gy) for _, gx, gy in points]
     hull = convex_hull_indices(pts)
-    hull_set = set(hull)
-    all_vertices = all(
-        i in hull_set or _depth_inside_hull(pts, hull, pts[i]) <= _HULL_TOL
-        for i in range(len(pts))
-    )
+    all_vertices = _all_near_hull(pts, hull)
     origin_interior = False
     if len(hull) >= 3:
         origin_interior = all(
@@ -329,28 +341,36 @@ def stretch_march(
     """Greedy surrogate for a stretch-path concatenation: repeatedly lengthen
     the currently maximizing curve until K_lower(g_i, h) drops below `step`.
 
+    Each step takes K_lower and the best curve of `k_estimate(g_i, h,
+    schedule)`, which depend on the last level alone: h is swept once per
+    march, g_i once per step, and no rows are built.
+
     Raises NoProgress if the bound fails to drop by step/10 over five steps.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    levels = _schedule_levels(schedule)
+    if g.triangulation != h.triangulation:
+        raise ValueError("structures must share a triangulation")
     T = g.triangulation
+    len_h = slope_lengths(h, levels[-1])
     path = [g]
     records: list[tuple[int, float, Curve]] = []
     history: list[float] = []
     cur = g
     converged = False
     for i in range(max_steps):
-        report = k_estimate(cur, h, schedule)
-        if report.k_lower < step:
+        k_lower, best = _best_slope(slope_lengths(cur, levels[-1]), len_h)
+        if k_lower < step:
             converged = True
             break
-        records.append((i, report.k_lower, report.best_curve))
-        history.append(report.k_lower)
+        records.append((i, k_lower, best))
+        history.append(k_lower)
         if len(history) >= 6 and history[-1] > history[-6] - step / 10.0:
             raise NoProgress(
                 f"K_lower stuck near {history[-1]:.6g} after {i + 1} steps of size {step}"
             )
-        grad = grad_log_length(cur, report.best_curve)
+        grad = grad_log_length(cur, best)
         norm = grad.norm()
         if norm == 0.0:
             raise NoProgress("zero gradient for the maximizing curve")

@@ -26,11 +26,30 @@ Fricke identity
 
 gives every slope trace in O(1) from its parents.  A tree node carries
 (tr l, tr r, d = tr(l.r^-1)); its mediant m has trace tr l tr r - d, and its
-children are (l, m) with d = tr r and (m, r) with d = tr l.  The slopes with
-p >= 0 hang below the roots a = (1,0) and b = (0,1), with d = tr a tr b - tr ab;
-those with p < 0 below a^-1 = (-1,0) and b, with d = tr ab.  `slope_lengths`
-walks the whole tree down to a complexity bound and `slope_length` walks the
-path to one slope; both take the same steps, so they agree bit for bit.
+children are (l, m) with d = tr r and (m, r) with d = tr l.  The walk starts
+at the root Farey triangle {1/0, 0/1, 1/1}, the curves a, b and ab.  The
+slopes with p > 0 hang below its edges (1/0, 1/1), with d = tr b, and
+(1/1, 0/1), with d = tr a; those with p < 0 below a^-1 = (-1,0) and b, with
+d = tr ab.  `slope_lengths` walks the whole tree down to a complexity bound
+and `slope_length` walks the path to one slope; both take the same steps, so
+they agree bit for bit.
+
+The root has two sources, which feed the same walk.  A ShearStructure gives
+it in closed form (shear coordinates; Fock, "Dual Teichmueller spaces",
+1997): with shears (x0, x1, x2) of the standard torus edges and
+
+    f(xi, xj) = e^u + e^v + e^-u,   u = (xi + xj)/2,  v = (xj - xi)/2,
+
+the traces are |tr a| = f(x1, x2), |tr b| = f(x2, x0) and |tr ab| = f(x0, x1),
+all positive, which is a valid lift since tr a tr b tr ab > 0.  The three
+root lengths come from the excess |tr| - 2 = 4 sinh^2(u/2) + e^v, a sum of
+positive terms, as l = 4 asinh(hypot(sinh(u/2), e^(v/2)/2)); so a pinched
+generator of length 2 e^(v/2) keeps all its digits, down to the smallest
+double.  A HolonomyRep, such as a twisted one, gives the root from its
+matrices.  A shear with |u| or v beyond log(DBL_MAX) raises
+NumericalOverflow, and so does a slope whose length comes out as 0: the
+walk rounds a trace within 1e-9 of 2 to 2 (`_length_from_trace`), and a
+slope is never peripheral, so that is an underflow, not a length.
 
 Since the commutator trace is -2, tr m and d are the two roots of
 z^2 - tr l tr r z + tr l^2 + tr r^2 = 0.  When d is the larger root, tr m is
@@ -292,22 +311,74 @@ def _fricke_step(tl: float, tr: float, d: float) -> float:
     return p - d
 
 
-def _farey_root(H: HolonomyRep, mirrored: bool) -> tuple[float, float, float]:
-    """(tr l, tr r, tr(l.r^-1)) at the root of the p >= 0 tree, or of the p < 0 one."""
-    ta, tb, tab = H.trace_triple()
+def _shear_trace(xi: float, xj: float) -> tuple[float, float]:
+    """(|tr|, length) of the curve that crosses the two edges with shears xi, xj
+    of the standard torus, in cyclic order: |tr| = f(xi, xj) = e^u + e^v + e^-u
+    with u = (xi + xj)/2 and v = (xj - xi)/2.
+
+    The length comes from the excess |tr| - 2 = 4 sinh^2(u/2) + e^v, a sum of
+    positive terms, as 4 asinh(sqrt(excess / 4)): it neither cancels nor
+    underflows for a short curve.
+    """
+    u, v = (xi + xj) / 2.0, (xj - xi) / 2.0
+    if abs(u) > _MAX_EXP or v > _MAX_EXP:
+        raise NumericalOverflow(f"shears ({xi}, {xj}) give a trace that overflows a double")
+    tr = math.exp(u) + math.exp(v) + math.exp(-u)
+    if tr == math.inf:
+        raise NumericalOverflow(f"shears ({xi}, {xj}) give a trace that overflows a double")
+    return tr, 4.0 * math.asinh(math.hypot(math.sinh(u / 2.0), math.exp(v / 2.0) / 2.0))
+
+
+def _root(X: ShearStructure | HolonomyRep) -> tuple[float, float, float, float, float, float]:
+    """(tr a, tr b, tr ab, l_a, l_b, l_ab): traces and lengths of the three
+    curves of the root Farey triangle {1/0, 0/1, 1/1}.
+
+    A ShearStructure on the standard torus gives them in closed form from its
+    shears (x0, x1, x2): |tr a| = f(x1, x2), |tr b| = f(x2, x0) and
+    |tr ab| = f(x0, x1), with f as in `_shear_trace`.  A HolonomyRep (such as
+    a twisted one, which has no shears) gives them from its matrices.
+    """
+    if isinstance(X, ShearStructure):
+        if not _is_standard_torus(X.triangulation):
+            raise NotStandardTorus("slope lengths need the standard torus triangulation")
+        x0, x1, x2 = X.shears
+        (ta, la), (tb, lb), (tab, lab) = (
+            _shear_trace(x1, x2), _shear_trace(x2, x0), _shear_trace(x0, x1)
+        )
+        return ta, tb, tab, la, lb, lab
+    ta, tb, tab = X.trace_triple()
     if not abs(tab) < math.inf:
         raise NumericalOverflow(f"trace of ab is {tab}: it overflowed double precision")
-    return (ta, tb, tab) if mirrored else (ta, tb, _fricke_step(ta, tb, tab))
+    a, b = X.A.entries(), X.B.entries()
+    return ta, tb, tab, _generator_length(a), _generator_length(b), _length_from_trace(tab)
 
 
-def slope_lengths(H: HolonomyRep, N: int) -> dict[tuple[int, int], float]:
-    """Length of every canonical slope (p, q) with |p| + |q| <= N, keyed by (p, q)."""
+def _underflow(p: int, q: int) -> NumericalOverflow:
+    return NumericalOverflow(
+        f"length of slope {p}/{q} underflows double precision: its trace rounds to 2"
+    )
+
+
+def slope_lengths(X: ShearStructure | HolonomyRep, N: int) -> dict[tuple[int, int], float]:
+    """Length of every canonical slope (p, q) with |p| + |q| <= N, keyed by (p, q).
+
+    X is a ShearStructure, whose root lengths and traces come from its shears
+    in closed form, or a HolonomyRep (see `_root`).
+    """
     if N < 1:
         raise ValueError("slope bound must be at least 1")
-    out = {(1, 0): _generator_length(H.A.entries()), (0, 1): _generator_length(H.B.entries())}
+    ta, tb, tab, la, lb, lab = _root(X)
+    out = {(1, 0): la, (0, 1): lb}
+    if N >= 2:
+        out[1, 1] = lab
     step, length = _fricke_step, _length_from_trace
-    for sign in (1, -1):
-        stack = [(1, 0, 0, 1, *_farey_root(H, sign < 0))]
+    # nodes (l, r, tr l, tr r, tr l.r^-1): the p > 0 tree hangs below (1/0, 1/1)
+    # and (1/1, 0/1), the p < 0 one below (a^-1, b), whose d is tr ab
+    roots = (
+        (1, [(1, 1, 0, 1, tab, tb, ta), (1, 0, 1, 1, ta, tab, tb)]),
+        (-1, [(1, 0, 0, 1, ta, tb, tab)]),
+    )
+    for sign, stack in roots:
         pop, push = stack.pop, stack.append
         while stack:
             lp, lq, rp, rq, tl, tr, d = pop()
@@ -318,27 +389,39 @@ def slope_lengths(H: HolonomyRep, N: int) -> dict[tuple[int, int], float]:
             out[sign * mp, mq] = length(tm)
             push((mp, mq, rp, rq, tm, tr, tl))
             push((lp, lq, mp, mq, tl, tm, tr))
+    if 0.0 in out.values():
+        raise _underflow(*next(k for k, v in out.items() if v == 0.0))
     return out
 
 
-def slope_length(H: HolonomyRep, s: Slope) -> float:
+def slope_length(X: ShearStructure | HolonomyRep, s: Slope) -> float:
     """Length of one slope, by the Fricke steps of `slope_lengths` along its tree path."""
-    if s.q == 0:
-        return _generator_length(H.A.entries())
-    if s.p == 0:
-        return _generator_length(H.B.entries())
+    ta, tb, tab, la, lb, lab = _root(X)
     p, q = abs(s.p), s.q
-    tl, tr, d = _farey_root(H, s.p < 0)
-    lp, lq, rp, rq = 1, 0, 0, 1
-    while True:
-        mp, mq = lp + rp, lq + rq
-        tm = _fricke_step(tl, tr, d)
-        if (mp, mq) == (p, q):
-            return _length_from_trace(tm)
-        if q * mp < p * mq:  # the slope lies between l and the mediant
-            rp, rq, tr, d = mp, mq, tm, tr
-        else:
-            lp, lq, tl, d = mp, mq, tm, tl
+    if q == 0:
+        length = la
+    elif p == 0:
+        length = lb
+    elif (s.p, q) == (1, 1):
+        length = lab
+    else:
+        if s.p < 0:  # below (a^-1, b)
+            lp, lq, rp, rq, tl, tr, d = 1, 0, 0, 1, ta, tb, tab
+        elif q < p:  # below (1/0, 1/1)
+            lp, lq, rp, rq, tl, tr, d = 1, 0, 1, 1, ta, tab, tb
+        else:  # below (1/1, 0/1)
+            lp, lq, rp, rq, tl, tr, d = 1, 1, 0, 1, tab, tb, ta
+        while (lp + rp, lq + rq) != (p, q):
+            mp, mq = lp + rp, lq + rq
+            tm = _fricke_step(tl, tr, d)
+            if q * mp < p * mq:  # the slope lies between l and the mediant
+                rp, rq, tr, d = mp, mq, tm, tr
+            else:
+                lp, lq, tl, d = mp, mq, tm, tl
+        length = _length_from_trace(_fricke_step(tl, tr, d))
+    if length == 0.0:
+        raise _underflow(s.p, s.q)
+    return length
 
 
 def curve_length(S: ShearStructure, c: Curve) -> float:
@@ -347,7 +430,7 @@ def curve_length(S: ShearStructure, c: Curve) -> float:
         m = holonomy_of_loop(S, c)
         return _length_from_trace(m.trace)
     if isinstance(c, Slope):
-        return slope_length(shear_to_holonomy_rep(S), c)
+        return slope_length(S, c)
     if isinstance(c, FreeWord):
         return word_length(shear_to_holonomy_rep(S), c)
     raise TypeError(f"not a curve: {c!r}")

@@ -14,7 +14,7 @@ from stretchlab import EllipticHolonomy, ShearStructure, standard_torus_triangul
 from stretchlab.cli import emit_surface, main, parse_surface
 from stretchlab.metric import CloudReport
 
-from util import TORUS, random_complete
+from util import TORUS, oracle_slope_lengths, random_complete
 
 ZERO_DOC = '{"surface": "zero", "triangulation": "S_1_1", "shears": {"e0": 0.0, "e1": 0.0, "e2": 0.0}}'
 
@@ -99,8 +99,6 @@ def test_malformed_surface_values_exit_2(tmp_path, capsys, text):
     ((0.0, 300.0, -300.0), "slope:40/41"),
     ((0.0, 300.0, -300.0), "word:ababababababab"),
     ((0.0, 1500.0, -1500.0), "slope:1/0"),
-    ((300.0, -300.0, 0.0), "slope:1/0"),
-    ((0.0, 1000.0, -1000.0), "slope:1/1"),
 ])
 def test_overflowing_lengths_exit_2(tmp_path, capsys, shears, curve):
     path = write_surface(tmp_path, "big.json", ShearStructure(TORUS, shears))
@@ -108,6 +106,34 @@ def test_overflowing_lengths_exit_2(tmp_path, capsys, shears, curve):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overflow" in captured.err
+
+
+@pytest.mark.parametrize("shears, pq", [
+    ((300.0, -300.0, 0.0), (1, 0)),
+    ((0.0, 1000.0, -1000.0), (1, 1)),
+    ((0.0, 1000.0, -1000.0), (1, 0)),
+])
+def test_extreme_shear_lengths_against_oracle(tmp_path, capsys, shears, pq):
+    # the root lengths come from the shears in closed form, so these no longer overflow
+    path = write_surface(tmp_path, "big.json", ShearStructure(TORUS, shears))
+    assert main(["length", path, f"slope:{pq[0]}/{pq[1]}"]) == 0
+    printed = float(capsys.readouterr().out)
+    exact = oracle_slope_lengths(shears, 2)[pq]
+    assert abs(printed - exact) <= 1e-11 * exact  # the 12 printed digits
+
+
+def test_slope_length_underflow_exit_2(tmp_path, capsys):
+    from stretchlab import NumericalOverflow, Slope, slope_length
+
+    # slope 2/1 has length 1.2e-6, but the Fricke step down to it rounds its trace to 2:
+    # that is an error, never a length of 0
+    S = ShearStructure(TORUS, (30.0, 0.0, -30.0))
+    with pytest.raises(NumericalOverflow, match="underflow"):
+        slope_length(S, Slope(2, 1))
+    assert main(["length", write_surface(tmp_path, "pinched.json", S), "slope:2/1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflow" in captured.err
 
 
 def test_kmetric_overflowing_structure_exit_2(tmp_path, capsys):

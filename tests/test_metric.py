@@ -225,6 +225,62 @@ def test_cloud_requires_torus_hyperplane():
         convex_cloud(S3, 5)
 
 
+def _old_depth_inside_hull(pts, hull, p) -> float:
+    """The former verdict's depth: the least signed distance to a hull edge, 0 if outside."""
+    depth = math.inf
+    for i in range(len(hull)):
+        a, b = pts[hull[i]], pts[hull[(i + 1) % len(hull)]]
+        edge = math.hypot(b[0] - a[0], b[1] - a[1])
+        if edge == 0.0:
+            continue
+        signed = ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])) / edge
+        if signed < 0.0:
+            return 0.0
+        depth = min(depth, signed)
+    return depth
+
+
+def _assert_same_hull_verdicts(pts, hull, rng):
+    hull_set = set(hull)
+    old = [i in hull_set or _old_depth_inside_hull(pts, hull, p) <= metric_mod._HULL_TOL
+           for i, p in enumerate(pts)]
+    for i, p in enumerate(pts):
+        start = rng.randrange(len(hull))
+        near = metric_mod._near_hull_boundary(pts, hull, p, metric_mod._HULL_TOL, start)
+        new = i in hull_set or near
+        assert new == old[i]
+    assert metric_mod._all_near_hull(pts, hull) == all(old)
+    return all(old)
+
+
+def test_hull_verdict_stops_early_with_the_old_min_depth_answer():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(200):
+        # points near an ellipse, some pulled inward by about the tolerance, some deep inside;
+        # the origin, where the scans take their start angles, is inside or outside the hull
+        cx, cy = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        rx, ry = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        pts = []
+        for _ in range(rng.randrange(3, 60)):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            shrink = rng.choice([0.0, rng.uniform(0.0, 4e-8), rng.uniform(0.0, 0.3)])
+            r = 1.0 - shrink
+            pts.append((cx + r * rx * math.cos(theta), cy + r * ry * math.sin(theta)))
+        hull = metric_mod.convex_hull_indices(pts)
+        if len(hull) >= 3:
+            verdicts.add(_assert_same_hull_verdicts(pts, hull, rng))
+    assert verdicts == {True, False}
+
+
+def test_cloud_hull_verdicts_match_the_old_min_depth_rule():
+    rng = random.Random(18)
+    for _ in range(20):
+        report = convex_cloud(random_complete(rng), 20)
+        pts = [(x, y) for _, x, y in report.points]
+        assert _assert_same_hull_verdicts(pts, list(report.hull), rng) == report.all_vertices
+
+
 # -- antisymmetry ---------------------------------------------------------------------------
 
 def test_antisymmetry_same_slope_exact_zero():
@@ -278,6 +334,59 @@ def test_march_zero_gradient_raises_no_progress(monkeypatch):
     )
     with pytest.raises(NoProgress):
         metric_mod.stretch_march(g, h, step=0.01, max_steps=10)
+
+
+def _reference_march(g, h, step, max_steps, schedule):
+    """stretch_march as a loop over full k_estimate reports."""
+    path, records, history, cur = [g], [], [], g
+    for i in range(max_steps):
+        report = k_estimate(cur, h, schedule)
+        if report.k_lower < step:
+            return tuple(path), tuple(records), True
+        records.append((i, report.k_lower, report.best_curve))
+        history.append(report.k_lower)
+        if len(history) >= 6 and history[-1] > history[-6] - step / 10.0:
+            raise NoProgress("stuck")
+        grad = grad_log_length(cur, report.best_curve)
+        norm = grad.norm()
+        cur = ShearStructure(
+            TORUS, tuple(x + step * c / norm for x, c in zip(cur.shears, grad.components))
+        )
+        path.append(cur)
+    return tuple(path), tuple(records), False
+
+
+def test_march_equals_a_loop_over_k_estimate_bit_for_bit():
+    rng = random.Random(19)
+    # g and h of the family (a, -a, 0) give slopes 1/0 and 0/1 equal lengths, so at
+    # level 1 their ratios tie and 0/1, the first in curve_sort_key order, must win
+    tie = (ShearStructure(TORUS, (0.3, -0.3, 0.0)), ShearStructure(TORUS, (1.2, -1.2, 0.0)), (1,))
+    cases = [(g, g, (8, 12)) for g in (ZERO, random_complete(rng))] + [tie]
+    for _ in range(10):  # h at distance 0.3-0.9 from g in the completeness plane
+        g = random_complete(rng, scale=1.0)
+        u, c = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 0.9)
+        shift = shears_from_coefficients(TORUS, (c * math.cos(u), c * math.sin(u)))
+        cases.append((g, ShearStructure(TORUS, tuple(x + d for x, d in zip(g.shears, shift))), (8, 12)))
+    steps_taken = 0
+    for g, h, schedule in cases:
+        path, records, converged = _reference_march(g, h, 0.05, 500, schedule)
+        result = stretch_march(g, h, step=0.05, max_steps=500, schedule=schedule)
+        assert result.records == records
+        assert result.path == path
+        assert result.converged == converged
+        steps_taken += len(records)
+    assert steps_taken > 50
+    _, k, best = stretch_march(tie[0], tie[1], step=0.05, max_steps=1, schedule=(1,)).records[0]
+    rows = k_estimate(tie[0], tie[1], (1,)).rows
+    assert best == rows[0][0] == Slope(0, 1)
+    assert rows[1][0] == Slope(1, 0) and rows[1][3] == k
+
+
+def test_best_slope_of_identical_sweeps_is_the_first_slope():
+    from stretchlab import slope_lengths
+
+    lengths = slope_lengths(random_complete(random.Random(20)), 12)
+    assert metric_mod._best_slope(lengths, lengths) == (0.0, Slope(0, 1))
 
 
 def test_asymmetry_probe_identity_and_twisted():

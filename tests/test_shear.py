@@ -44,7 +44,13 @@ from stretchlab import (
 )
 from stretchlab.metric import twist_derivative
 
-from util import TORUS, folded_sphere3_triangulation, random_complete, sphere3_triangulation
+from util import (
+    TORUS,
+    folded_sphere3_triangulation,
+    oracle_slope_lengths,
+    random_complete,
+    sphere3_triangulation,
+)
 
 ACOSH_15 = math.acosh(1.5)
 ZERO = ShearStructure(TORUS, (0.0, 0.0, 0.0))
@@ -218,10 +224,14 @@ def test_slope_sweep_equals_single_slope_walk_bit_for_bit():
     for _ in range(10):
         S = random_complete(rng)
         rep = shear_to_holonomy_rep(S)
-        swept = slope_lengths(rep, 60)
+        swept = slope_lengths(S, 60)
+        from_rep = slope_lengths(rep, 60)
         assert sorted(swept) == sorted((s.p, s.q) for s in slopes)
         for s in slopes:
-            assert swept[s.p, s.q] == slope_length(rep, s) == curve_length(S, s)
+            assert swept[s.p, s.q] == slope_length(S, s) == curve_length(S, s)
+            assert from_rep[s.p, s.q] == slope_length(rep, s)
+            # two roots, one walk: shears in closed form against the holonomy matrices
+            assert from_rep[s.p, s.q] == pytest.approx(swept[s.p, s.q], rel=1e-13)
 
 
 def test_slope_sweep_bound_validation():
@@ -270,6 +280,47 @@ def test_slope_lengths_against_50_digit_word_products(shears):
     assert swept.keys() == exact.keys()
     worst = max(abs(swept[k] - exact[k]) / exact[k] for k in exact)
     assert worst <= 1e-12
+
+
+FAMILIES = {
+    "(0, m, -m)": lambda m: (0.0, m, -m),
+    "(-m, 0, m)": lambda m: (-m, 0.0, m),
+    "(m, -m, 0)": lambda m: (m, -m, 0.0),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pinched_families_against_oracle(family):
+    # one root curve (1/0, 0/1 or 1/1) shortens like 2 e^(-m/2): its length comes
+    # from the closed-form excess; the measured worst is 4.2e-14
+    worst = 0.0
+    for m in range(31):
+        shears = FAMILIES[family](float(m))
+        swept = slope_lengths(ShearStructure(TORUS, shears), 40)
+        exact = oracle_slope_lengths(shears, 40)
+        assert swept.keys() == exact.keys()
+        worst = max(worst, *(abs(swept[k] - exact[k]) / exact[k] for k in exact))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("shears, N", [
+    ((0.0, -8.0, 8.0), 40),
+    ((-16.0, 0.0, 16.0), 40),
+    ((20.0, -20.0, 0.0), 20),
+    ((20.0, 0.0, -20.0), 20),
+])
+def test_structures_whose_holonomy_matrices_cancel(shears, N):
+    # the edge-matrix products lose the commutator on these, but the shear root does not
+    S = ShearStructure(TORUS, shears)
+    with pytest.raises(NumericalOverflow):
+        shear_to_holonomy_rep(S)
+    swept = slope_lengths(S, N)
+    exact = oracle_slope_lengths(shears, N)
+    errors = {k: abs(swept[k] - exact[k]) / exact[k] for k in exact}
+    if shears == (20.0, 0.0, -20.0):
+        # the Fricke step down to the short 2/1 (length 1.8e-4) cancels; item 1's flip walk
+        assert errors.pop((2, 1)) <= 1e-7
+    assert max(errors.values()) <= 1e-12
 
 
 # -- stretch -----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 import random
 
 from stretchlab import ShearStructure, shears_from_coefficients, standard_torus_triangulation
@@ -36,3 +37,46 @@ def folded_sphere3_triangulation():
         table[3 * t + s] = 3 * u + r
         table[3 * u + r] = 3 * t + s
     return IdealTriangulation(2, tuple(table))
+
+
+def oracle_slope_lengths(shears, N: int) -> dict:
+    """Lengths of all slopes with |p|+|q| <= N on the standard torus, in mpmath.
+
+    The generators' matrices are products of the documented edge and turn
+    matrices (E(x) = [[0, e^(x/2)], [-e^(-x/2), 0]], L, R), as in
+    `shear_to_holonomy_rep`, and the other traces come from the exact Fricke
+    recursion tr(l.r) = tr l tr r - tr(l.r^-1) down the Stern-Brocot tree.
+    The precision covers the digits that cancel in the matrix products and
+    in the recursion: about N (max|x| + 2) / ln 10 of them.
+    """
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = 60 + int(N * (max(abs(x) for x in shears) + 2.0) / math.log(10.0))
+
+    def edge(x):
+        e = ctx.exp(ctx.mpf(x) / 2)
+        return ctx.matrix([[0, e], [-1 / e, 0]])
+
+    L = ctx.matrix([[1, 1], [-1, 0]])
+    R = ctx.matrix([[0, -1], [1, 1]])
+    e0, e1, e2 = (edge(x) for x in shears)
+    A = e1 * L * e2 * R
+    B = L * (e2 * L * e0 * R) * L ** -1
+    ta, tb, tab = (m[0, 0] + m[1, 1] for m in (A, B, A * B))
+    traces = {(1, 0): ta, (0, 1): tb}
+    for sign, d in ((1, ta * tb - tab), (-1, tab)):
+        stack = [(1, 0, 0, 1, ta, tb, d)]
+        while stack:
+            lp, lq, rp, rq, tl, tr, d = stack.pop()
+            mp, mq = lp + rp, lq + rq
+            if mp + mq > N:
+                continue
+            tm = tl * tr - d
+            traces[sign * mp, mq] = tm
+            stack.append((mp, mq, rp, rq, tm, tr, tl))
+            stack.append((lp, lq, mp, mq, tl, tm, tr))
+    low = mpmath.mp.clone()
+    low.dps = 30
+    # 2 acosh(|t|/2) = 4 asinh(sqrt((|t| - 2)/4)), with |t| - 2 taken at full precision
+    return {k: float(4 * low.asinh(low.sqrt(low.mpf(abs(t) - 2) / 4))) for k, t in traces.items()}
