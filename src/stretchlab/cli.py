@@ -9,8 +9,9 @@ Track files are JSON with "branches" (count) and "switches" (a list of
 {"left": [...], "right": [...]} with half-branch ids 2*branch + end).
 
 Exit codes: 0 success, 2 parse/validation failure (also a shear or trace
-beyond double range), 3 soft warning (sweep not stabilized, march stopped
-early), 4 elliptic holonomy, 5 failed hull verdict.
+beyond double range, and a track file of the wrong shape or with a branch
+count or half-branch id that is not an integer), 3 soft warning (sweep not
+stabilized, march stopped early), 4 elliptic holonomy, 5 failed hull verdict.
 """
 
 from __future__ import annotations
@@ -258,11 +259,17 @@ def cmd_march(args) -> int:
 
 def parse_track(text: str) -> TrainTrack:
     doc = json.loads(text)
-    switches = tuple(
-        (tuple(int(h) for h in sw["left"]), tuple(int(h) for h in sw["right"]))
-        for sw in doc["switches"]
-    )
-    return TrainTrack(int(doc["branches"]), switches)
+    if not (isinstance(doc, dict) and "branches" in doc and isinstance(doc.get("switches"), list)):
+        raise ValueError('track file must hold an object with "branches" and a "switches" list')
+    if type(doc["branches"]) is not int:
+        raise ValueError(f"branch count {doc['branches']!r} is not an integer")
+    switches = []
+    for sw in doc["switches"]:
+        sides = (sw.get("left"), sw.get("right")) if isinstance(sw, dict) else (None, None)
+        if not all(isinstance(side, list) and all(type(h) is int for h in side) for side in sides):
+            raise ValueError(f'switch {sw!r} is not {{"left": [ids], "right": [ids]}} of integer ids')
+        switches.append((tuple(sides[0]), tuple(sides[1])))
+    return TrainTrack(doc["branches"], tuple(switches))
 
 
 def cmd_track(args) -> int:

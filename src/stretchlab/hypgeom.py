@@ -5,6 +5,10 @@ determinant one, trace classification, the hyperbolic metric, and the
 Lipschitz self-map of an ideal triangle that expands its sides by a
 constant factor.
 
+It is also the one home of the package's trace kernel: the tuple 2x2 algebra,
+the rule from a trace to a length with its parabolic tolerance, and the
+eigenvalues of a hyperbolic element.
+
 All lengths and distances are in natural hyperbolic units (curvature -1).
 """
 
@@ -15,11 +19,61 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotHyperbolic, OutsideTriangle
+from .errors import EllipticHolonomy, NotHyperbolic, NumericalOverflow, OutsideTriangle
 
 _SIGN_EPS = 1e-12
 _PARABOLIC_TOL = 1e-9
 _IDENTITY_TOL = 1e-12
+
+Mat = tuple[float, float, float, float]
+
+_ID: Mat = (1.0, 0.0, 0.0, 1.0)
+
+
+def _mul(m: Mat, n: Mat) -> Mat:
+    return (
+        m[0] * n[0] + m[1] * n[2],
+        m[0] * n[1] + m[1] * n[3],
+        m[2] * n[0] + m[3] * n[2],
+        m[2] * n[1] + m[3] * n[3],
+    )
+
+
+def _inv(m: Mat) -> Mat:
+    return (m[3], -m[1], -m[2], m[0])
+
+
+def _length_from_trace(tr: float, err: float = 0.0) -> float:
+    """Translation length 2 acosh(|tr|/2); 0 for |tr| within _PARABOLIC_TOL of 2.
+
+    A nonzero `err` is the rounding error of `tr` (the exact trace is
+    tr + err).  A trace near 2 then gives its length as 4 asinh(sqrt(e/4))
+    with e = |tr| - 2 + sign(tr) err, which keeps digits that the rounding of
+    tr would lose: a pinched curve of length l has |tr| - 2 ~ l^2/4.
+    """
+    t = abs(tr)
+    if not t < math.inf:
+        raise NumericalOverflow(f"holonomy trace is {tr}: it overflowed double precision")
+    if t <= 2.0 + _PARABOLIC_TOL:
+        if t < 2.0 - _PARABOLIC_TOL:
+            raise EllipticHolonomy(f"elliptic holonomy, |trace| = {t}")
+        return 0.0
+    if err and t <= 4.0:  # t - 2 is exact here
+        return 4.0 * math.asinh(math.sqrt(((t - 2.0) + (err if tr > 0.0 else -err)) / 4.0))
+    return 2.0 * math.acosh(t / 2.0)
+
+
+def _axis_eigenvalues(x: float) -> tuple[float, float, float]:
+    """(e, 1/e, e - 1/e) for e = exp(L/2), L the translation length of trace x.
+
+    e - 1/e = 2 sinh(L/2) is taken from the trace, since the difference of
+    e and 1/e cancels for a short axis.
+    """
+    ax = abs(x)
+    if not ax > 2.0:
+        raise NotHyperbolic(f"axis is not hyperbolic, trace {x}")
+    sh = math.sqrt((ax - 2.0) * (ax + 2.0))
+    return (ax + sh) / 2.0, 2.0 / (ax + sh), sh
 
 
 def _normalize(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -67,9 +121,9 @@ class IsometryMatrix:
         return self.a * self.d - self.b * self.c
 
     def inverse(self) -> "IsometryMatrix":
-        return IsometryMatrix(self.d, -self.b, -self.c, self.a)
+        return IsometryMatrix(*_inv(self.entries()))
 
-    def entries(self) -> tuple[float, float, float, float]:
+    def entries(self) -> Mat:
         return (self.a, self.b, self.c, self.d)
 
 
@@ -102,12 +156,7 @@ class IsometryClass:
 
 
 def compose(m: IsometryMatrix, n: IsometryMatrix) -> IsometryMatrix:
-    return IsometryMatrix(
-        m.a * n.a + m.b * n.c,
-        m.a * n.b + m.b * n.d,
-        m.c * n.a + m.d * n.c,
-        m.c * n.b + m.d * n.d,
-    )
+    return IsometryMatrix(*_mul(m.entries(), n.entries()))
 
 
 def classify(m: IsometryMatrix) -> IsometryClass:
@@ -124,15 +173,7 @@ def classify(m: IsometryMatrix) -> IsometryClass:
         return IsometryClass(IsometryKind.PARABOLIC)
     if t < 2.0:
         return IsometryClass(IsometryKind.ELLIPTIC)
-    return IsometryClass(IsometryKind.HYPERBOLIC, 2.0 * math.acosh(t / 2.0))
-
-
-def translation_length(m: IsometryMatrix) -> float:
-    """Translation length of a hyperbolic isometry, 0 for parabolic/identity."""
-    cls = classify(m)
-    if cls.kind is IsometryKind.ELLIPTIC:
-        raise NotHyperbolic(f"elliptic isometry has no translation length (trace {m.trace})")
-    return cls.translation_length
+    return IsometryClass(IsometryKind.HYPERBOLIC, _length_from_trace(t))
 
 
 def apply(m: IsometryMatrix, p: HPoint) -> HPoint:
@@ -155,12 +196,9 @@ def axis_translation(m: IsometryMatrix, t: float) -> IsometryMatrix:
     a, b, c, d = m.entries()
     if a + d < 0.0:
         a, b, c, d = -a, -b, -c, -d
-    tr = a + d
-    root = math.sqrt(tr * tr - 4.0)
-    lam = (tr + root) / 2.0  # attracting eigenvalue, > 1
-    mu = (tr - root) / 2.0
+    _, mu, gap = _axis_eigenvalues(a + d)  # mu = 1/lam and gap = lam - mu, lam > 1
     # spectral projector onto the attracting eigenline: (M - mu I) / (lam - mu)
-    s = 1.0 / (lam - mu)
+    s = 1.0 / gap
     pa, pb, pc, pd = (a - mu) * s, b * s, c * s, (d - mu) * s
     eplus = math.exp(t / 2.0)
     eminus = math.exp(-t / 2.0)

@@ -29,7 +29,6 @@ from .surface import (
     Slope,
     enumerate_conjugacy_classes,
     enumerate_slopes,
-    standard_torus_triangulation,
 )
 
 _GRAD_STEP = 1e-5
@@ -90,11 +89,12 @@ class TangentCovector:
 def nonperipheral_classes(N: int) -> list[FreeWord]:
     """Conjugacy classes of length <= N with the puncture-parallel ones dropped.
 
-    Peripheral classes (powers of the commutator) are parabolic on every
-    complete structure, so membership is tested once at the zero-shear point.
+    The peripheral classes are the powers of the commutator abAB (the loop
+    around the puncture) and of its inverse.  Up to rotation and inversion
+    they are the words (abAB)^k, which are their own canonical
+    representatives, so the test is on the word alone.
     """
-    reference = ShearStructure(standard_torus_triangulation(), (0.0, 0.0, 0.0))
-    return [w for w in enumerate_conjugacy_classes(N) if curve_length(reference, w) > 0.0]
+    return [w for w in enumerate_conjugacy_classes(N) if w.letters != "abAB" * (len(w) // 4)]
 
 
 def _ratio_row(c: Curve, lg: float, lh: float) -> tuple[Curve, float, float, float]:
@@ -345,6 +345,11 @@ def stretch_march(
     schedule)`, which depend on the last level alone: h is swept once per
     march, g_i once per step, and no rows are built.
 
+    A step along the gradient of one curve can shorten another.  So when the
+    next structure's K_lower is higher and its best curve has changed, the
+    step is taken again from g_i along the least-norm point of the segment
+    between the two curves' log-length gradients, which lengthens both.
+
     Raises NoProgress if the bound fails to drop by step/10 over five steps.
     """
     if step <= 0.0:
@@ -352,15 +357,18 @@ def stretch_march(
     levels = _schedule_levels(schedule)
     if g.triangulation != h.triangulation:
         raise ValueError("structures must share a triangulation")
-    T = g.triangulation
     len_h = slope_lengths(h, levels[-1])
+
+    def k_and_best(S: ShearStructure) -> tuple[float, Slope]:
+        return _best_slope(slope_lengths(S, levels[-1]), len_h)
+
     path = [g]
     records: list[tuple[int, float, Curve]] = []
     history: list[float] = []
     cur = g
+    k_lower, best = k_and_best(g)
     converged = False
     for i in range(max_steps):
-        k_lower, best = _best_slope(slope_lengths(cur, levels[-1]), len_h)
         if k_lower < step:
             converged = True
             break
@@ -370,23 +378,43 @@ def stretch_march(
             raise NoProgress(
                 f"K_lower stuck near {history[-1]:.6g} after {i + 1} steps of size {step}"
             )
-        grad = grad_log_length(cur, best)
-        norm = grad.norm()
-        if norm == 0.0:
-            raise NoProgress("zero gradient for the maximizing curve")
-        cur = ShearStructure(
-            T, tuple(x + step * c / norm for x, c in zip(cur.shears, grad.components))
-        )
+        grad = grad_log_length(cur, best).components
+        nxt = _step_along(cur, grad, step)
+        k_next, best_next = k_and_best(nxt)
+        if k_next > k_lower and best_next != best:
+            both = _least_norm_on_segment(grad, grad_log_length(cur, best_next).components)
+            nxt = _step_along(cur, both, step)
+            k_next, best_next = k_and_best(nxt)
+        cur, k_lower, best = nxt, k_next, best_next
         path.append(cur)
     return MarchResult(tuple(path), tuple(records), converged)
+
+
+def _least_norm_on_segment(g1: Sequence[float], g2: Sequence[float]) -> tuple[float, ...]:
+    """The point of the segment [g1, g2] nearest the origin, g1 + lam (g2 - g1)
+    with lam = clamp(-g1.(g2 - g1) / |g2 - g1|^2, 0, 1).  Its inner product
+    with each end is at least its squared norm, so a step along it lengthens
+    both curves to first order."""
+    diff = [b - a for a, b in zip(g1, g2)]
+    dd = math.fsum(d * d for d in diff)
+    lam = min(max(-math.fsum(a * d for a, d in zip(g1, diff)) / dd, 0.0), 1.0) if dd else 0.0
+    return tuple(a + lam * d for a, d in zip(g1, diff))
+
+
+def _step_along(S: ShearStructure, direction: Sequence[float], step: float) -> ShearStructure:
+    """S moved by `step` along the unit vector of a direction in the completeness hyperplane."""
+    norm = TangentCovector(tuple(direction)).norm()
+    if norm == 0.0:
+        raise NoProgress("zero gradient for the maximizing curve")
+    moved = tuple(x + step * c / norm for x, c in zip(S.shears, direction))
+    return ShearStructure(S.triangulation, moved)
 
 
 def asymmetry_probe(
     g: ShearStructure, h: ShearStructure, max_complexity: int = 20
 ) -> tuple[float, float]:
-    """Both directed estimates at the same sweep level."""
-    curves = enumerate_slopes(max_complexity)
-    return (
-        k_lower_bound(g, h, curves).k_lower,
-        k_lower_bound(h, g, curves).k_lower,
-    )
+    """Both directed estimates at the same sweep level, from one Farey sweep
+    of each structure: the k_lower of `k_estimate(g, h, (max_complexity,))`
+    and of `k_estimate(h, g, (max_complexity,))`."""
+    len_g, len_h = slope_lengths(g, max_complexity), slope_lengths(h, max_complexity)
+    return _best_slope(len_g, len_h)[0], _best_slope(len_h, len_g)[0]

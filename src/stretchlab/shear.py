@@ -26,13 +26,14 @@ Fricke identity
 
 gives every slope trace in O(1) from its parents.  A tree node carries
 (tr l, tr r, d = tr(l.r^-1)); its mediant m has trace tr l tr r - d, and its
-children are (l, m) with d = tr r and (m, r) with d = tr l.  The walk starts
-at the root Farey triangle {1/0, 0/1, 1/1}, the curves a, b and ab.  The
-slopes with p > 0 hang below its edges (1/0, 1/1), with d = tr b, and
-(1/1, 0/1), with d = tr a; those with p < 0 below a^-1 = (-1,0) and b, with
-d = tr ab.  `slope_lengths` walks the whole tree down to a complexity bound
-and `slope_length` walks the path to one slope; both take the same steps, so
-they agree bit for bit.
+children are (l, m) with d = tr r and (m, r) with d = tr l.
+`slope_lengths` sweeps the whole tree down to a complexity bound from the
+root Farey triangle {1/0, 0/1, 1/1}, the curves a, b and ab: the slopes with
+p > 0 hang below its edges (1/0, 1/1), with d = tr b, and (1/1, 0/1), with
+d = tr a; those with p < 0 below a^-1 = (-1,0) and b, with d = tr ab.
+`slope_length` walks to one slope from the basis (a, b), or (a^-1, b) for
+p < 0, along `surface.farey_path` (`_farey_walk`), the walk that the twist
+shares.  It takes the same steps as the sweep, so the two agree bit for bit.
 
 The root has two sources, which feed the same walk.  A ShearStructure gives
 it in closed form (shear coordinates; Fock, "Dual Teichmueller spaces",
@@ -48,8 +49,9 @@ generator of length 2 e^(v/2) keeps all its digits, down to the smallest
 double.  A HolonomyRep, such as a twisted one, gives the root from its
 matrices.  A shear with |u| or v beyond log(DBL_MAX) raises
 NumericalOverflow, and so does a slope whose length comes out as 0: the
-walk rounds a trace within 1e-9 of 2 to 2 (`_length_from_trace`), and a
-slope is never peripheral, so that is an underflow, not a length.
+walk rounds a trace within 1e-9 of 2 to 2 (`hypgeom._length_from_trace`,
+the trace-to-length rule shared with every other length), and a slope is
+never peripheral, so that is an underflow, not a length.
 
 Since the commutator trace is -2, tr m and d are the two roots of
 z^2 - tr l tr r z + tr l^2 + tr r^2 = 0.  When d is the larger root, tr m is
@@ -63,7 +65,7 @@ replaces h by tau h, tau the translation by t along the axis of g.  In the
 eigenframe of g, g = diag(e, 1/e) with e = exp(l_g / 2) and h has diagonal
 (alpha, delta); the twist maps it to (alpha e^(t/2), delta e^(-t/2)), which
 gives tr h and tr gh after the twist.  For a slope s the walk goes down the
-Stern-Brocot path to s with the Fricke steps above, twists the basis
+Stern-Brocot path to s as `slope_length` does, twists the basis
 (s, right parent of s) there, and climbs back to (tr a, tr b, tr ab) by the
 same steps, each recovering a parent from its child.  The matrices are then
 rebuilt as C N C^-1 from a normal form N of the new triple, with C the frame
@@ -78,15 +80,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    DegeneratePolygon,
-    EllipticHolonomy,
-    IncompatibleLoop,
-    NotHyperbolic,
-    NotStandardTorus,
-    NumericalOverflow,
-)
-from .hypgeom import IsometryMatrix
+from .errors import DegeneratePolygon, IncompatibleLoop, NotStandardTorus, NumericalOverflow
+from .hypgeom import _ID, IsometryMatrix, Mat, _axis_eigenvalues, _inv, _length_from_trace, _mul
 from .surface import (
     CombinatorialLoop,
     Curve,
@@ -94,32 +89,15 @@ from .surface import (
     IdealTriangulation,
     Slope,
     Turn,
-    puncture_loops,
+    farey_path,
     standard_torus_triangulation,
 )
 
 COMPLETENESS_TOL = 1e-9
-_PARABOLIC_TOL = 1e-9
 _MAX_EXP = math.log(sys.float_info.max)  # exp overflows a double beyond this
-
-Mat = tuple[float, float, float, float]
 
 _L: Mat = (1.0, 1.0, -1.0, 0.0)
 _R: Mat = (0.0, -1.0, 1.0, 1.0)
-_ID: Mat = (1.0, 0.0, 0.0, 1.0)
-
-
-def _mul(m: Mat, n: Mat) -> Mat:
-    return (
-        m[0] * n[0] + m[1] * n[2],
-        m[0] * n[1] + m[1] * n[3],
-        m[2] * n[0] + m[3] * n[2],
-        m[2] * n[1] + m[3] * n[3],
-    )
-
-
-def _inv(m: Mat) -> Mat:
-    return (m[3], -m[1], -m[2], m[0])
 
 
 def _edge_matrix(x: float) -> Mat:
@@ -127,26 +105,6 @@ def _edge_matrix(x: float) -> Mat:
         raise NumericalOverflow(f"shear {x} is too large: exp({x}/2) overflows a double")
     e = math.exp(x / 2.0)
     return (0.0, e, -1.0 / e, 0.0)
-
-
-def _length_from_trace(tr: float, err: float = 0.0) -> float:
-    """Translation length 2 acosh(|tr|/2).
-
-    A nonzero `err` is the rounding error of `tr` (the exact trace is
-    tr + err).  A trace near 2 then gives its length as 4 asinh(sqrt(e/4))
-    with e = |tr| - 2 + sign(tr) err, which keeps digits that the rounding of
-    tr would lose: a pinched curve of length l has |tr| - 2 ~ l^2/4.
-    """
-    t = abs(tr)
-    if not t < math.inf:
-        raise NumericalOverflow(f"holonomy trace is {tr}: it overflowed double precision")
-    if t <= 2.0 + _PARABOLIC_TOL:
-        if t < 2.0 - _PARABOLIC_TOL:
-            raise EllipticHolonomy(f"elliptic holonomy, |trace| = {t}")
-        return 0.0
-    if err and t <= 4.0:  # t - 2 is exact here
-        return 4.0 * math.asinh(math.sqrt(((t - 2.0) + (err if tr > 0.0 else -err)) / 4.0))
-    return 2.0 * math.acosh(t / 2.0)
 
 
 def _generator_length(m: Mat) -> float:
@@ -394,31 +352,31 @@ def slope_lengths(X: ShearStructure | HolonomyRep, N: int) -> dict[tuple[int, in
     return out
 
 
+def _farey_walk(tl: float, tr: float, tm: float, moves: list[bool]) -> tuple[float, float, float]:
+    """(tr l, tr r, tr lr) of the Farey basis (l, r) that the moves of
+    `farey_path` reach from a basis with traces (tl, tr, tm), by Fricke steps."""
+    step = _fricke_step
+    for left in moves:
+        if left:
+            tr, tm = tm, step(tl, tm, tr)
+        else:
+            tl, tm = tm, step(tm, tr, tl)
+    return tl, tr, tm
+
+
 def slope_length(X: ShearStructure | HolonomyRep, s: Slope) -> float:
-    """Length of one slope, by the Fricke steps of `slope_lengths` along its tree path."""
+    """Length of one slope, by the Fricke steps of `slope_lengths` along its
+    `farey_path` from (a, b), or from (a^-1, b), with tr a^-1 b = step(tr a, tr b, tr ab)."""
     ta, tb, tab, la, lb, lab = _root(X)
-    p, q = abs(s.p), s.q
-    if q == 0:
+    if s.q == 0:
         length = la
-    elif p == 0:
+    elif s.p == 0:
         length = lb
-    elif (s.p, q) == (1, 1):
+    elif (s.p, s.q) == (1, 1):
         length = lab
     else:
-        if s.p < 0:  # below (a^-1, b)
-            lp, lq, rp, rq, tl, tr, d = 1, 0, 0, 1, ta, tb, tab
-        elif q < p:  # below (1/0, 1/1)
-            lp, lq, rp, rq, tl, tr, d = 1, 0, 1, 1, ta, tab, tb
-        else:  # below (1/1, 0/1)
-            lp, lq, rp, rq, tl, tr, d = 1, 1, 0, 1, tab, tb, ta
-        while (lp + rp, lq + rq) != (p, q):
-            mp, mq = lp + rp, lq + rq
-            tm = _fricke_step(tl, tr, d)
-            if q * mp < p * mq:  # the slope lies between l and the mediant
-                rp, rq, tr, d = mp, mq, tm, tr
-            else:
-                lp, lq, tl, d = mp, mq, tm, tl
-        length = _length_from_trace(_fricke_step(tl, tr, d))
+        start = tab if s.p > 0 else _fricke_step(ta, tb, tab)
+        length = _length_from_trace(_farey_walk(ta, tb, start, farey_path(abs(s.p), s.q))[2])
     if length == 0.0:
         raise _underflow(s.p, s.q)
     return length
@@ -443,19 +401,6 @@ def stretch(S: ShearStructure, t: float) -> ShearStructure:
 
 
 # -- Fenchel-Nielsen twist in trace coordinates --------------------------------
-
-def _axis_eigenvalues(x: float) -> tuple[float, float, float]:
-    """(e, 1/e, e - 1/e) for e = exp(L/2), L the translation length of trace x.
-
-    e - 1/e = 2 sinh(L/2) is taken from the trace, since the difference of
-    e and 1/e cancels for a short axis.
-    """
-    ax = abs(x)
-    if not ax > 2.0:
-        raise NotHyperbolic(f"twist axis is not hyperbolic, trace {x}")
-    sh = math.sqrt((ax - 2.0) * (ax + 2.0))
-    return (ax + sh) / 2.0, 2.0 / (ax + sh), sh
-
 
 def _axis_diagonal(x: float, y: float, z: float) -> tuple[float, float, float, float, float]:
     """(e, 1/e, e - 1/e, alpha, delta) for a basis (g, h) with tr g = x, tr h = y, tr gh = z.
@@ -506,20 +451,10 @@ def _twisted_traces(x: float, y: float, z: float, s: Slope, t: float) -> tuple[f
     if s.p == 0:
         x, z = _twist_pair(y, x, z, -t)
         return x, y, z
-    p, q = abs(s.p), s.q
     if s.p < 0:  # root (a^-1, b), whose product is a^-1 b
         z, t = step(x, y, z), -t
-    tl, tr, tm = x, y, z
-    lp, lq, rp, rq = 1, 0, 0, 1
-    moves = []  # True where the walk went to the left child (l, m)
-    while (lp + rp, lq + rq) != (p, q):
-        mp, mq = lp + rp, lq + rq
-        left = q * mp < p * mq
-        if left:
-            rp, rq, tr, tm = mp, mq, tm, step(tl, tm, tr)
-        else:
-            lp, lq, tl, tm = mp, mq, tm, step(tm, tr, tl)
-        moves.append(left)
+    moves = farey_path(abs(s.p), s.q)
+    tl, tr, tm = _farey_walk(x, y, z, moves)
     x, y, z = tm, tr, step(tm, tr, tl)  # the basis (s, r) is the right child of (l, r)
     y, z = _twist_pair(x, y, z, t)
     moves.append(False)

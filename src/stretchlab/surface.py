@@ -9,6 +9,9 @@ into the glued triangle (t', j) and lands at corner (t', j).
 Closed curves come in three combinatorial flavours: coprime slopes on the
 once-punctured torus, cyclically reduced words in the rank-2 free group, and
 step sequences in the dual spine of a triangulation.
+
+`farey_path` is the one place that decides which child of a Farey basis
+leads to a slope; Christoffel words, slope traces and twists all follow it.
 """
 
 from __future__ import annotations
@@ -275,28 +278,36 @@ def slope_word(s: Slope) -> FreeWord:
 
     Negative p mirrors the word of (-p, q) through a -> a^{-1}.
     """
-    if s.p >= 0:
-        return FreeWord(_christoffel(s.p, s.q))
-    mirrored = _christoffel(-s.p, s.q)
-    return FreeWord(mirrored.translate(str.maketrans("aA", "Aa")))
-
-
-def _christoffel(p: int, q: int) -> str:
-    if q == 0:
-        return "a"
-    if p == 0:
-        return "b"
-    # walk the Stern-Brocot tree ordered by q/p, from (1,0) = 'a' to (0,1) = 'b'
-    lp, lq, lw = 1, 0, "a"
-    rp, rq, rw = 0, 1, "b"
-    while True:
-        mp, mq, mw = lp + rp, lq + rq, lw + rw
-        if (mp, mq) == (p, q):
-            return mw
-        if q * mp < p * mq:  # target is below the mediant
-            rp, rq, rw = mp, mq, mw
+    if s.q == 0:
+        return FreeWord("a")
+    if s.p == 0:
+        return FreeWord("b")
+    lw, rw = ("a" if s.p > 0 else "A"), "b"  # the mediant's word is l.r
+    for left in farey_path(abs(s.p), s.q):
+        if left:
+            rw = lw + rw
         else:
-            lp, lq, lw = mp, mq, mw
+            lw = lw + rw
+    return FreeWord(lw + rw)
+
+
+def farey_path(p: int, q: int) -> list[bool]:
+    """Moves down the Stern-Brocot tree from the Farey basis (1/0, 0/1) to the
+    parents (l, r) of p/q, for coprime p, q > 0: True where the walk goes to
+    the child (l, l+r), False where it goes to (l+r, r)."""
+    if p <= 0 or q <= 0:
+        raise ValueError(f"Farey path needs p, q > 0, got {p}/{q}")
+    lp, lq, rp, rq = 1, 0, 0, 1
+    moves = []
+    while (lp + rp, lq + rq) != (p, q):
+        mp, mq = lp + rp, lq + rq
+        left = q * mp < p * mq
+        if left:
+            rp, rq = mp, mq
+        else:
+            lp, lq = mp, mq
+        moves.append(left)
+    return moves
 
 
 _LETTER_RANK = {ch: k for k, ch in enumerate("abAB")}

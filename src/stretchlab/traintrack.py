@@ -28,8 +28,8 @@ class TrainTrack:
                 raise ValueError("every switch needs both sides nonempty")
             placed.extend(one)
             placed.extend(two)
-        expected = list(range(2 * self.num_branches))
-        if sorted(placed) != expected:
+        # the count first, so that a huge branch count builds no range
+        if len(placed) != 2 * self.num_branches or sorted(placed) != list(range(len(placed))):
             raise ValueError("every half-branch must be placed exactly once")
 
 @dataclass(frozen=True, slots=True)

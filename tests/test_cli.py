@@ -320,6 +320,31 @@ def test_track_invalid_file_exit_2(tmp_path, capsys):
     assert main(["track", str(path), "--check"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"branches": 1, "switches": [{"left": [[0]], "right": [1]}]}',
+        '{"branches": 1, "switches": 5}',
+        "[1, 2]",
+        '{"branches": 1, "switches": [{"left": [0.7], "right": [1]}]}',
+        '{"branches": true, "switches": [{"left": [0], "right": [1]}]}',
+        '{"branches": 1.0, "switches": [{"left": [0], "right": [1]}]}',
+        '{"switches": [{"left": [0], "right": [1]}]}',
+        '{"branches": 1, "switches": [[0, 1]]}',
+        '{"branches": 1, "switches": [{"left": [0]}]}',
+        # the half-branch count is checked before range(2 * branches) is built
+        '{"branches": 1000000000000000, "switches": [{"left": [0], "right": [1]}]}',
+    ],
+)
+def test_track_malformed_file_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["track", str(path), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # -- determinism and the console script -------------------------------------------------
 
 def test_module_invocation_smoke(zero_file):

@@ -176,6 +176,26 @@ def test_nonperipheral_curves_have_positive_length(S):
         assert curve_length(S, s) > 0.0
 
 
+def test_shear_takes_its_trace_kernel_from_hypgeom():
+    import ast
+    import inspect
+
+    import stretchlab.hypgeom as hypgeom
+    import stretchlab.shear as shear
+
+    kernel = {"_PARABOLIC_TOL", "_length_from_trace", "_mul", "_inv", "_axis_eigenvalues"}
+    defined = set()
+    for node in ast.parse(inspect.getsource(shear)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert not kernel & defined
+    for name in kernel:
+        assert getattr(shear, name, getattr(hypgeom, name)) is getattr(hypgeom, name)
+
+
 # -- holonomy representation -----------------------------------------------------------
 
 def test_zero_shear_trace_triple():

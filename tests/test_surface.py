@@ -18,7 +18,7 @@ from stretchlab import (
     slope_word,
     standard_torus_triangulation,
 )
-from stretchlab.surface import canonical_class_representative, cyclic_reduce, invert_word
+from stretchlab.surface import canonical_class_representative, cyclic_reduce, farey_path, invert_word
 
 from util import sphere3_triangulation
 
@@ -117,6 +117,23 @@ def test_slope_word_length_and_abelianization(p, q):
     assert w.count("a") - w.count("A") == p
     assert w.count("b") - w.count("B") == q
     assert cyclic_reduce(w) == w
+
+
+def test_farey_path_ends_at_the_farey_parents():
+    for p in range(1, 25):
+        for q in range(1, 25):
+            if math.gcd(p, q) != 1:
+                continue
+            l, r = (1, 0), (0, 1)
+            for left in farey_path(p, q):
+                m = (l[0] + r[0], l[1] + r[1])
+                l, r = (l, m) if left else (m, r)
+            assert (l[0] + r[0], l[1] + r[1]) == (p, q)
+            assert l[0] * r[1] - l[1] * r[0] == 1  # Farey neighbours, l to the left of r
+    assert farey_path(1, 1) == []
+    assert farey_path(2, 1) == [True] and farey_path(1, 2) == [False]
+    with pytest.raises(ValueError):
+        farey_path(-1, 2)
 
 
 # -- conjugacy classes ----------------------------------------------------------------
