@@ -119,6 +119,8 @@ def _schedule_levels(schedule: Sequence[int]) -> tuple[int, ...]:
     levels = tuple(schedule)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
+    if levels[0] < 1:
+        raise ValueError(f"schedule levels must be at least 1, got {levels[0]}")
     return levels
 
 

@@ -183,10 +183,6 @@ class Slope:
 _LETTERS = "abAB"
 
 
-def invert_letter(ch: str) -> str:
-    return ch.swapcase()
-
-
 def free_reduce(word: str) -> str:
     out: list[str] = []
     for ch in word:
@@ -310,7 +306,8 @@ def farey_path(p: int, q: int) -> list[bool]:
     return moves
 
 
-_LETTER_RANK = {ch: k for k, ch in enumerate("abAB")}
+# _LETTERS in its order a < b < A < B, translated to ordinary string order
+_LETTER_ORDER = str.maketrans(_LETTERS, "abcd")
 
 
 def canonical_class_representative(word: str) -> str:
@@ -321,30 +318,29 @@ def canonical_class_representative(word: str) -> str:
     candidates = []
     for u in (w, invert_word(w)):
         candidates.extend(u[i:] + u[:i] for i in range(len(u)))
-    return min(candidates, key=lambda u: [_LETTER_RANK[ch] for ch in u])
+    return min(candidates, key=lambda u: u.translate(_LETTER_ORDER))
 
 
 def enumerate_conjugacy_classes(N: int) -> list[FreeWord]:
     """One representative per conjugacy class of cyclically reduced words of
-    length <= N in the rank-2 free group, up to rotation and inversion."""
+    length <= N in the rank-2 free group, up to rotation and inversion.
+
+    One depth-first pass over the reduced words from the roots a and b (a
+    canonical word starts with one of them), children in letter order, keeps
+    each word that is its own canonical representative.  Preorder is letter
+    order, so each length comes out sorted.
+    """
     if N < 1:
         raise ValueError("word length bound must be at least 1")
-    reps: set[str] = set()
-    for length in range(1, N + 1):
-        stack = [ch for ch in _LETTERS]
-        words = []
-        for _ in range(length - 1):
-            words = []
-            for w in stack:
-                words.extend(w + ch for ch in _LETTERS if ch != w[-1].swapcase())
-            stack = words
-        for w in stack:
-            if w[0] != w[-1].swapcase():
-                reps.add(canonical_class_representative(w))
-    return [
-        FreeWord(w)
-        for w in sorted(reps, key=lambda w: (len(w), [_LETTER_RANK[ch] for ch in w]))
-    ]
+    by_length: list[list[FreeWord]] = [[] for _ in range(N + 1)]
+    stack = ["b", "a"]  # pushed in reverse, so that the least letter pops first
+    while stack:
+        w = stack.pop()
+        if w[0] != w[-1].swapcase() and canonical_class_representative(w) == w:
+            by_length[len(w)].append(FreeWord(w))
+        if len(w) < N:
+            stack.extend(w + ch for ch in reversed(_LETTERS) if ch != w[-1].swapcase())
+    return [w for words in by_length for w in words]
 
 
 def geometric_intersection(s: Slope, t: Slope) -> int:

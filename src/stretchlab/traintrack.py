@@ -108,75 +108,6 @@ def _legal_successors(tt: TrainTrack) -> list[list[int]]:
     return succ
 
 
-def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
-    """Tarjan, iterative; returns the component id of each node."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] < 0:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
-
-
-def _nodes_on_cycles(tt: TrainTrack) -> list[bool]:
-    succ = _legal_successors(tt)
-    comp = _strongly_connected_components(succ)
-    comp_size = [0] * (max(comp) + 1)
-    for c in comp:
-        comp_size[c] += 1
-    on_cycle = []
-    for v in range(len(succ)):
-        if comp_size[comp[v]] > 1:
-            on_cycle.append(True)
-        else:
-            on_cycle.append(v in succ[v])
-    return on_cycle
-
-
-def is_recurrent(tt: TrainTrack) -> bool:
-    """True iff every branch lies on a closed legal trajectory."""
-    on_cycle = _nodes_on_cycles(tt)
-    return all(on_cycle[2 * b] and on_cycle[2 * b + 1] for b in range(tt.num_branches))
-
-
 def _cycle_through(succ: list[list[int]], start: int) -> list[int] | None:
     """Shortest closed walk through start, as the list of visited nodes."""
     from collections import deque
@@ -204,11 +135,18 @@ def _cycle_through(succ: list[list[int]], start: int) -> list[int] | None:
     return None
 
 
+def is_recurrent(tt: TrainTrack) -> bool:
+    """True iff every branch lies on a closed legal trajectory."""
+    succ = _legal_successors(tt)
+    # A legal trajectory run backwards is legal and arrives at the other end
+    # of every branch it crosses, so a closed walk through node 2b gives one
+    # through 2b+1: one search per branch settles both of its ends.
+    return all(_cycle_through(succ, 2 * b) is not None for b in range(tt.num_branches))
+
+
 def positive_weight_witness(tt: TrainTrack) -> WeightVector | None:
     """Strictly positive integer weights satisfying all switch conditions,
     built by summing closed-trajectory indicator vectors; None if impossible."""
-    if not is_recurrent(tt):
-        return None
     succ = _legal_successors(tt)
     counts = [0] * tt.num_branches
     for b in range(tt.num_branches):

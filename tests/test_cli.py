@@ -186,6 +186,13 @@ def test_kmetric_all_classes_agreement(tmp_path, capsys):
     assert abs(k_slopes - k_words) <= 1e-6
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_kmetric_max_complexity_below_one_exit_2(zero_file, capsys, level):
+    assert main(["kmetric", zero_file, zero_file, "--max-complexity", level]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_kmetric_mismatched_triangulations_exit_2(tmp_path, zero_file, capsys):
     from util import sphere3_triangulation
 
@@ -366,6 +373,20 @@ def test_import_does_not_load_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "False\n"
+
+
+SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("script", sorted(f for f in os.listdir(SCRIPTS_DIR) if f.endswith(".py")))
+def test_script_runs_with_defaults(script):
+    import stretchlab
+
+    src = os.path.dirname(os.path.dirname(stretchlab.__file__))
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS_DIR, script)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 def test_general_triangulation_file_roundtrip_and_length(tmp_path, capsys):

@@ -139,6 +139,10 @@ def test_k_estimate_schedule_validation():
         k_estimate(ZERO, ZERO, ())
     with pytest.raises(ValueError):
         k_estimate(ZERO, ZERO, (8, 8))
+    with pytest.raises(ValueError):
+        k_estimate(ZERO, ZERO, (0, 4))
+    with pytest.raises(ValueError):
+        k_estimate(ZERO, ZERO, (-2, 3))
 
 
 def test_simple_curves_suffice_at_desk_scale():

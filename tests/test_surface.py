@@ -148,23 +148,31 @@ def _all_cyclically_reduced(n):
             yield w
 
 
-def _orbit_count_oracle(n):
-    """Independent count: explicit orbit closure under rotation and inversion."""
+def _letter_key(w):
+    return ["abAB".index(ch) for ch in w]
+
+
+def _orbit_minima_oracle(n):
+    """Independent class list: explicit orbit closure under rotation and
+    inversion, each orbit's least word (letter order a<b<A<B) as its
+    representative."""
     seen = set()
-    count = 0
+    minima = []
     for w in _all_cyclically_reduced(n):
         if w in seen:
             continue
-        count += 1
+        orbit = set()
         stack = [w]
         while stack:
             u = stack.pop()
-            if u in seen:
+            if u in orbit:
                 continue
-            seen.add(u)
+            orbit.add(u)
             stack.extend(u[i:] + u[:i] for i in range(len(u)))
             stack.append(invert_word(u))
-    return count
+        seen |= orbit
+        minima.append(min(orbit, key=_letter_key))
+    return minima
 
 
 def test_conjugacy_classes_small():
@@ -173,9 +181,10 @@ def test_conjugacy_classes_small():
     assert got == {"a", "b", "aa", "bb", "ab", "aB"}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_conjugacy_class_counts_match_bruteforce(n):
-    assert len(enumerate_conjugacy_classes(n)) == _orbit_count_oracle(n)
+    expected = sorted(_orbit_minima_oracle(n), key=lambda w: (len(w), _letter_key(w)))
+    assert [w.letters for w in enumerate_conjugacy_classes(n)] == expected
 
 
 def test_conjugacy_classes_cyclically_reduced_and_canonical():

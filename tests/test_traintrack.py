@@ -176,6 +176,7 @@ def test_random_tracks_match_oracle(tt):
     if tt is None:
         return
     assert is_recurrent(tt) == oracle_recurrent(tt)
+    assert carries_positive(tt) == oracle_recurrent(tt)
     if carries_positive(tt):
         witness = positive_weight_witness(tt)
         assert all(w > 0 for w in witness.weights)
