@@ -44,7 +44,7 @@ from .surface import (
     Turn,
     standard_torus_triangulation,
 )
-from .traintrack import TrainTrack, carries_positive, is_recurrent, weight_cone_basis
+from .traintrack import TrainTrack, positive_weight_witness, weight_cone_basis
 
 
 def _fmt(value: float, digits: int = 12) -> str:
@@ -275,10 +275,10 @@ def parse_track(text: str) -> TrainTrack:
 def cmd_track(args) -> int:
     with open(args.track, encoding="utf-8") as fh:
         tt = parse_track(fh.read())
-    recurrent = is_recurrent(tt)
-    cone_dim = len(weight_cone_basis(tt))
-    positive = carries_positive(tt)
-    print(f"recurrent={_bool(recurrent)} cone_dim={cone_dim} positive={_bool(positive)}")
+    # a positive witness exists exactly when every node 2b lies on a closed
+    # walk, which is `is_recurrent`'s test, so one search gives both verdicts
+    carried = _bool(positive_weight_witness(tt) is not None)
+    print(f"recurrent={carried} cone_dim={len(weight_cone_basis(tt))} positive={carried}")
     return 0
 
 

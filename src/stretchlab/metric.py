@@ -29,6 +29,7 @@ from .surface import (
     Slope,
     enumerate_conjugacy_classes,
     enumerate_slopes,
+    is_peripheral,
 )
 
 _GRAD_STEP = 1e-5
@@ -78,23 +79,11 @@ class TangentCovector:
     def norm(self) -> float:
         return math.sqrt(math.fsum(c * c for c in self.components))
 
-    def basis_coordinates(self, triangulation) -> tuple[float, ...]:
-        """Coordinates in the fixed orthonormal hyperplane basis."""
-        return tuple(
-            math.fsum(c * ui for c, ui in zip(self.components, u))
-            for u in completeness_basis(triangulation)
-        )
-
 
 def nonperipheral_classes(N: int) -> list[FreeWord]:
-    """Conjugacy classes of length <= N with the puncture-parallel ones dropped.
-
-    The peripheral classes are the powers of the commutator abAB (the loop
-    around the puncture) and of its inverse.  Up to rotation and inversion
-    they are the words (abAB)^k, which are their own canonical
-    representatives, so the test is on the word alone.
-    """
-    return [w for w in enumerate_conjugacy_classes(N) if w.letters != "abAB" * (len(w) // 4)]
+    """Conjugacy classes of length <= N with the puncture-parallel ones
+    (`is_peripheral`: the powers of the commutator abAB) dropped."""
+    return [w for w in enumerate_conjugacy_classes(N) if not is_peripheral(w.letters)]
 
 
 def _ratio_row(c: Curve, lg: float, lh: float) -> tuple[Curve, float, float, float]:
@@ -272,20 +261,16 @@ def convex_cloud(g: ShearStructure, N: int) -> CloudReport:
         raise ValueError("need N >= 2 for a two-dimensional cloud")
     if len(completeness_basis(g.triangulation)) != 2:
         raise ValueError("gradient clouds are only defined for the punctured torus (2d hyperplane)")
-    # grad_log_length per slope, with each perturbed structure built and swept once
-    T = g.triangulation
-    basis = completeness_basis(T)
-    slopes = enumerate_slopes(N)
+    # the basis derivatives of grad_log_length per slope, with each perturbed
+    # structure built and swept once
     sweeps = [
         (slope_lengths(_shifted(g, u, _GRAD_STEP), N),
          slope_lengths(_shifted(g, u, -_GRAD_STEP), N))
-        for u in basis
+        for u in completeness_basis(g.triangulation)
     ]
     points = tuple(
-        (s, *_covector(T, basis, [
-            _log_difference(plus[s.p, s.q], minus[s.p, s.q], _GRAD_STEP) for plus, minus in sweeps
-        ]).basis_coordinates(T))
-        for s in slopes
+        (s, *(_log_difference(plus[s.p, s.q], minus[s.p, s.q], _GRAD_STEP) for plus, minus in sweeps))
+        for s in enumerate_slopes(N)
     )
     pts = [(gx, gy) for _, gx, gy in points]
     hull = convex_hull_indices(pts)

@@ -14,9 +14,12 @@ with the product taken left to right along the loop.  The convention is
 validated by two independent checks: completeness forces parabolic puncture
 holonomy, and the zero-shear once-punctured torus has trace triple (3, 3, 3).
 
-Holonomy representations of the once-punctured torus are based at the flag
-"triangle 0 facing side 1"; the slope (0,1) loop starts one left turn away
-from that flag, whence the conjugation in `shear_to_holonomy_rep`.
+A trace triple (tr a, tr b, tr ab) fixes a holonomy representation of the
+once-punctured torus up to conjugacy, and every word trace with it.
+`_normal_form` is the one place where a triple becomes matrices: A diagonal,
+B symmetric, and the sign of B's off-diagonal entries sets the orientation,
+the direction in which the parabolic commutator [A, B] turns (`_orientation`).
+`shear_to_holonomy_rep` and `earthquake_twist` both return normal forms.
 
 Slope lengths never multiply matrices along a word.  The Christoffel word of
 a Stern-Brocot mediant is the product l.r of its parents' words, so the
@@ -67,10 +70,9 @@ eigenframe of g, g = diag(e, 1/e) with e = exp(l_g / 2) and h has diagonal
 gives tr h and tr gh after the twist.  For a slope s the walk goes down the
 Stern-Brocot path to s as `slope_length` does, twists the basis
 (s, right parent of s) there, and climbs back to (tr a, tr b, tr ab) by the
-same steps, each recovering a parent from its child.  The matrices are then
-rebuilt as C N C^-1 from a normal form N of the new triple, with C the frame
-of the old one, so the result is a conjugate of the twisted representation
-and a twist by -t returns H up to roundoff.
+same steps, each recovering a parent from its child.  The result is the
+normal form of the new triple with the orientation of H, so a twist by -t
+returns H up to roundoff whenever H is in normal form.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ from .surface import (
     Slope,
     Turn,
     farey_path,
+    is_peripheral,
     standard_torus_triangulation,
 )
 
@@ -163,10 +166,13 @@ class HolonomyRep:
                 f"commutator trace {self.commutator_trace()} is not -2: not a cusped torus rep"
             )
 
-    def commutator_trace(self) -> float:
+    def commutator(self) -> Mat:
         a = self.A.entries()
         b = self.B.entries()
-        m = _mul(_mul(a, b), _mul(_inv(a), _inv(b)))
+        return _mul(_mul(a, b), _mul(_inv(a), _inv(b)))
+
+    def commutator_trace(self) -> float:
+        m = self.commutator()
         return m[0] + m[3]
 
     def trace_triple(self) -> tuple[float, float, float]:
@@ -216,33 +222,13 @@ def _is_standard_torus(T: IdealTriangulation) -> bool:
 
 @lru_cache(maxsize=4096)
 def shear_to_holonomy_rep(S: ShearStructure) -> HolonomyRep:
-    """Holonomy of the slope (1,0) and (0,1) loops, based at the flag (triangle 0, side 1).
-
-    With shears (x0, x1, x2):
-
-        A = E(x1) L E(x2) R
-        B = L E(x2) L E(x0) R L^{-1}
-
-    where the outer conjugation moves the (0,1) loop's natural starting flag
-    (triangle 0, side 2) to the common base flag.  Zero shears give the
-    maximally symmetric punctured torus with trace triple (3, 3, 3).
+    """Holonomy of the slope (1,0) and (0,1) curves: `_normal_form` of the
+    closed-form trace triple of `_root`, with orientation +1 (sign -1), the
+    orientation of the edge-matrix holonomy of those loops.  Zero shears give
+    the maximally symmetric punctured torus with trace triple (3, 3, 3).
     """
-    if not _is_standard_torus(S.triangulation):
-        raise NotStandardTorus("holonomy representations need the standard torus triangulation")
-    x0, x1, x2 = S.shears
-    e0, e1, e2 = _edge_matrix(x0), _edge_matrix(x1), _edge_matrix(x2)
-    a = _mul(_mul(e1, _L), _mul(e2, _R))
-    b_raw = _mul(_mul(e2, _L), _mul(e0, _R))
-    b = _mul(_mul(_L, b_raw), _inv(_L))
-    try:
-        return HolonomyRep(IsometryMatrix(*a), IsometryMatrix(*b))
-    except ValueError as exc:
-        # S is complete, so products that are not det 1 with commutator
-        # trace -2 have lost their digits, not described a wrong surface
-        raise NumericalOverflow(
-            f"holonomy of shears {S.shears} overflows double precision"
-            f" (an edge-matrix product overflowed, underflowed or cancelled): {exc}"
-        ) from None
+    ta, tb, tab = _root(S)[:3]
+    return _normal_form(ta, tb, tab, -1.0, f"holonomy of shears {S.shears}")
 
 
 def _word_matrix(word: str, a: Mat, b: Mat) -> Mat:
@@ -255,9 +241,18 @@ def _word_matrix(word: str, a: Mat, b: Mat) -> Mat:
 
 @lru_cache(maxsize=1 << 17)
 def word_length(H: HolonomyRep, w: FreeWord) -> float:
-    """Translation length of the word evaluated in the two generators."""
+    """Translation length of the word evaluated in the two generators.
+
+    Only a peripheral class (`is_peripheral`) has length 0; for any other
+    class a trace that rounds to 2 is an underflow, as for a slope.
+    """
     m = _word_matrix(w.letters, H.A.entries(), H.B.entries())
-    return _length_from_trace(m[0] + m[3])
+    length = _length_from_trace(m[0] + m[3])
+    if length == 0.0 and not is_peripheral(w.letters):
+        raise NumericalOverflow(
+            f"length of word {w.letters} underflows double precision: its trace rounds to 2"
+        )
+    return length
 
 
 def _fricke_step(tl: float, tr: float, d: float) -> float:
@@ -298,7 +293,7 @@ def _root(X: ShearStructure | HolonomyRep) -> tuple[float, float, float, float, 
     """
     if isinstance(X, ShearStructure):
         if not _is_standard_torus(X.triangulation):
-            raise NotStandardTorus("slope lengths need the standard torus triangulation")
+            raise NotStandardTorus("holonomy reps and slope lengths need the standard torus triangulation")
         x0, x1, x2 = X.shears
         (ta, la), (tb, lb), (tab, lab) = (
             _shear_trace(x1, x2), _shear_trace(x2, x0), _shear_trace(x0, x1)
@@ -464,63 +459,49 @@ def _twisted_traces(x: float, y: float, z: float, s: Slope, t: float) -> tuple[f
     return (x, y, step(x, y, z)) if s.p < 0 else (x, y, z)
 
 
-def _normal_form(x: float, y: float, z: float, sign: float) -> tuple[Mat, Mat]:
+def _normal_form(x: float, y: float, z: float, sign: float, what: str) -> HolonomyRep:
     """The rep with trace triple (x, y, z) whose A is diagonal (attracting
     eigenvalue first) and whose B is symmetric, with off-diagonal entries
-    sign / sinh(l_a / 2)."""
+    sign / sinh(l_a / 2).  Its orientation (`_orientation`) is -sign.
+
+    The triple is that of a cusped torus, so |x|, |y| and |z| exceed 2: one
+    that rounds to 2 (or is nan), an inf or nan entry, or a commutator that
+    has lost its digits to the size of the traces is an overflow of `what`.
+    """
+    if not (abs(x) > 2.0 and abs(y) > 2.0 and abs(z) > 2.0):
+        raise NumericalOverflow(
+            f"{what} overflows double precision: the traces ({x}, {y}, {z}) do not all exceed 2"
+        )
     e, ei, sh, alpha, delta = _axis_diagonal(x, y, z)
     beta = sign * 2.0 / sh
     a = (e, 0.0, 0.0, ei) if x > 0.0 else (-e, 0.0, 0.0, -ei)
-    return a, (alpha, beta, beta, delta)
+    try:
+        return HolonomyRep(IsometryMatrix(*a), IsometryMatrix(alpha, beta, beta, delta))
+    except ValueError as exc:
+        raise NumericalOverflow(f"{what} overflows double precision: {exc}") from None
 
 
-def _normal_frame(a: Mat, b: Mat) -> tuple[Mat, float]:
-    """(C, sign) with det C = 1 and (A, B) = C N C^-1, N = _normal_form(traces of A, B, sign).
-
-    The columns of C are eigenvectors of A, each taken from whichever row of
-    A - lambda I gives it without cancellation, then scaled so that C^-1 B C
-    is symmetric.
-    """
-    x = a[0] + a[3]
-    e, ei, _ = _axis_eigenvalues(x)
-    if x < 0.0:
-        e, ei = -e, -ei
-
-    def eigenvector(lam: float) -> tuple[float, float]:
-        u, v = (a[1], lam - a[0]), (lam - a[3], a[2])
-        return u if max(abs(u[0]), abs(u[1])) >= max(abs(v[0]), abs(v[1])) else v
-
-    (p0, p2), (p1, p3) = eigenvector(e), eigenvector(ei)
-    det = p0 * p3 - p1 * p2
-    k = 1.0 / math.sqrt(abs(det))
-    p = (p0 * k, p1 * math.copysign(k, det), p2 * k, p3 * math.copysign(k, det))
-    m = _mul(_mul(_inv(p), b), p)
-    k = (m[1] / m[2]) ** 0.25
-    return (p[0] * k, p[1] / k, p[2] * k, p[3] / k), math.copysign(1.0, m[1])
+def _orientation(H: HolonomyRep) -> float:
+    """Sign of P.c - P.b for the commutator P = [A, B], which is parabolic:
+    its direction of rotation, kept by conjugation in PSL(2, R)."""
+    p = H.commutator()
+    return math.copysign(1.0, p[2] - p[1])
 
 
 def earthquake_twist(H: HolonomyRep, s: Slope, t: float) -> HolonomyRep:
     """Fenchel-Nielsen twist of distance t along the simple closed curve of slope s.
 
-    The twisted trace triple comes from `_twisted_traces`, in doubles.  The
-    matrices are C N(x', y', z') C^-1, where N is the normal form of
-    `_normal_form` and C the frame with H = C N(x, y, z) C^-1.  So the result
-    is a conjugate of the twisted representation, not a particular one, in a
-    frame that depends on H alone: traces, lengths and the commutator are
-    those of the twist, and twisting back by -t returns H up to roundoff.
+    The twisted trace triple comes from `_twisted_traces`, in doubles, and the
+    result is its `_normal_form`, with the orientation of H.  So the result
+    is a conjugate of the twisted representation, not a particular one:
+    traces, lengths and the commutator are those of the twist.  Twisting
+    back by -t returns H up to roundoff when H is in normal form, as every
+    rep that the library builds is, and H's normal form otherwise.
     """
     if t == 0.0:
         return H
-    frame, sign = _normal_frame(H.A.entries(), H.B.entries())
-    na, nb = _normal_form(*_twisted_traces(*H.trace_triple(), s, t), sign)
-    back = _inv(frame)
-    try:
-        return HolonomyRep(
-            IsometryMatrix(*_mul(_mul(frame, na), back)),
-            IsometryMatrix(*_mul(_mul(frame, nb), back)),
-        )
-    except ValueError as exc:  # an inf or nan entry, or digits lost to the size of the traces
-        raise NumericalOverflow(f"twist by {t} along {s.spec()} overflows double precision: {exc}") from None
+    x, y, z = _twisted_traces(*H.trace_triple(), s, t)
+    return _normal_form(x, y, z, -_orientation(H), f"twist by {t} along {s.spec()}")
 
 
 # -- transverse weights and the alternating-sum formula -----------------------

@@ -321,6 +321,15 @@ def canonical_class_representative(word: str) -> str:
     return min(candidates, key=lambda u: u.translate(_LETTER_ORDER))
 
 
+def is_peripheral(word: str) -> bool:
+    """Whether a cyclically reduced word is a power of the puncture class abAB
+    or of its inverse (the empty word included).  Up to rotation and
+    inversion these are the words (abAB)^k, which are their own canonical
+    representatives, so only a length that is a multiple of 4 is canonicalised."""
+    n = len(word)
+    return n % 4 == 0 and canonical_class_representative(word) == "abAB" * (n // 4)
+
+
 def enumerate_conjugacy_classes(N: int) -> list[FreeWord]:
     """One representative per conjugacy class of cyclically reduced words of
     length <= N in the rank-2 free group, up to rotation and inversion.

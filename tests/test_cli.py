@@ -136,6 +136,23 @@ def test_slope_length_underflow_exit_2(tmp_path, capsys):
     assert "underflow" in captured.err
 
 
+def test_word_length_underflow_exit_2(tmp_path, capsys):
+    # b has length 2 e^-12 = 1.2e-5, but its trace 2 + e^-24 is within the
+    # parabolic tolerance of 2: that is an error, never a length of 0.  The
+    # puncture class (abAB, here rotated and inverted) still has length 0
+    path = write_surface(tmp_path, "pinched.json", ShearStructure(TORUS, (-24.0, 0.0, 24.0)))
+    assert main(["length", path, "word:b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflow" in captured.err
+    assert main(["length", path, "word:aBAb"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    # a, pinched the same way on (0, 24, -24), printed 0 with exit 0
+    path = write_surface(tmp_path, "pinched_a.json", ShearStructure(TORUS, (0.0, 24.0, -24.0)))
+    assert main(["length", path, "word:a"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_kmetric_overflowing_structure_exit_2(tmp_path, capsys):
     path = write_surface(tmp_path, "big.json", ShearStructure(TORUS, (0.0, 1500.0, -1500.0)))
     assert main(["kmetric", path, path]) == 2

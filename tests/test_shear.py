@@ -42,12 +42,14 @@ from stretchlab import (
     transverse_slope_weights,
     word_length,
 )
-from stretchlab.metric import twist_derivative
+from stretchlab.metric import nonperipheral_classes, twist_derivative
+from stretchlab.shear import _orientation
 
 from util import (
     TORUS,
     folded_sphere3_triangulation,
     oracle_slope_lengths,
+    oracle_word_lengths,
     random_complete,
     sphere3_triangulation,
 )
@@ -330,10 +332,14 @@ def test_pinched_families_against_oracle(family):
     ((20.0, 0.0, -20.0), 20),
 ])
 def test_structures_whose_holonomy_matrices_cancel(shears, N):
-    # the edge-matrix products lose the commutator on these, but the shear root does not
+    # the edge-matrix products lose the commutator on these; the normal form of
+    # the closed-form triple does not.  The measured worst word is 3.7e-8 (ab on
+    # (20, -20, 0), whose trace is within 4e-9 of 2, where acosh loses digits)
     S = ShearStructure(TORUS, shears)
-    with pytest.raises(NumericalOverflow):
-        shear_to_holonomy_rep(S)
+    rep = shear_to_holonomy_rep(S)
+    words = nonperipheral_classes(6)
+    exact_words = oracle_word_lengths(shears, [w.letters for w in words])
+    assert max(abs(word_length(rep, w) - exact_words[w.letters]) / exact_words[w.letters] for w in words) <= 1e-7
     swept = slope_lengths(S, N)
     exact = oracle_slope_lengths(shears, N)
     errors = {k: abs(swept[k] - exact[k]) / exact[k] for k in exact}
@@ -531,8 +537,38 @@ def test_twists_compose_additively(pq):
 def test_twist_beyond_double_range_raises_overflow(t):
     rep = shear_to_holonomy_rep(ZERO)
     for pq in [(1, 0), (2, 1)]:
+        if (pq, t) == ((1, 0), 600.0):
+            # tr b and tr ab reach 1e130, which the normal form holds (measured 2.4e-17)
+            got = earthquake_twist(rep, Slope(*pq), t).trace_triple()
+            for g, e in zip(got, _twisted_triple_50(rep, Slope(*pq), t)):
+                assert abs(abs(g) - abs(e)) <= 1e-15 * abs(e)
+            continue
         with pytest.raises(NumericalOverflow):
             earthquake_twist(rep, Slope(*pq), t)
+
+
+def test_twist_along_minus_11_keeps_commutator_and_round_trip():
+    # the rebuild C N C^-1 from H's frame drifted this commutator by 1.4e-9
+    rep = shear_to_holonomy_rep(
+        ShearStructure(TORUS, (0.5621535382737227, 0.28493713950855376, -0.8470906777822773))
+    )
+    s, t = Slope(-11, 1), -1.346815801840032
+    tw = earthquake_twist(rep, s, t)
+    assert abs(tw.commutator_trace() + 2.0) <= 1e-9
+    assert slope_length(tw, s) == pytest.approx(slope_length(rep, s), rel=1e-12, abs=0.0)
+    assert _round_trip_miss(rep, s, t) <= 1e-9
+
+
+def test_mirror_rep_keeps_its_orientation_through_a_twist():
+    # conjugating by diag(1, -1) reverses the orientation of the commutator;
+    # the twist keeps it, and twisting back returns the mirror (measured 2.4e-15)
+    rep = shear_to_holonomy_rep(ShearStructure(TORUS, shears_from_coefficients(TORUS, (0.7, -0.4))))
+    mirror = HolonomyRep(*(IsometryMatrix(a, -b, -c, d) for a, b, c, d in (rep.A.entries(), rep.B.entries())))
+    assert _orientation(rep) == 1.0 and _orientation(mirror) == -1.0
+    for pq in [(1, 0), (0, 1), (2, 1), (-3, 5)]:
+        tw = earthquake_twist(mirror, Slope(*pq), 0.9)
+        assert _orientation(tw) == -1.0
+        assert _round_trip_miss(mirror, Slope(*pq), 0.9) <= 1e-12
 
 
 @pytest.mark.parametrize("shears", [(300.0, -300.0, 0.0), (1000.0, 0.0, -1000.0), (0.0, 1000.0, -1000.0)])
