@@ -6,8 +6,8 @@ Lipschitz self-map of an ideal triangle that expands its sides by a
 constant factor.
 
 It is also the one home of the package's trace kernel: the tuple 2x2 algebra,
-the rule from a trace to a length with its parabolic tolerance, and the
-eigenvalues of a hyperbolic element.
+the rules from a trace (with its parabolic tolerance) and from the paths of a
+nonnegative product to a length, and the eigenvalues of a hyperbolic element.
 
 All lengths and distances are in natural hyperbolic units (curvature -1).
 """
@@ -26,8 +26,6 @@ _PARABOLIC_TOL = 1e-9
 _IDENTITY_TOL = 1e-12
 
 Mat = tuple[float, float, float, float]
-
-_ID: Mat = (1.0, 0.0, 0.0, 1.0)
 
 
 def _mul(m: Mat, n: Mat) -> Mat:
@@ -61,6 +59,16 @@ def _length_from_trace(tr: float, err: float = 0.0) -> float:
     if err and t <= 4.0:  # t - 2 is exact here
         return 4.0 * math.asinh(math.sqrt(((t - 2.0) + (err if tr > 0.0 else -err)) / 4.0))
     return 2.0 * math.acosh(t / 2.0)
+
+
+def _length_from_paths(s: float, r: float, lost: float | None) -> float:
+    """Length 4 asinh(sqrt(x) / 2) of a product of nonnegative det-1 factors D(x_k) U_k, from
+    x = tr - 2 = 4 sinh^2(s/4) + r: the diagonal path adds e^(s/2) + e^(-s/2), s = sum x_k, and
+    the other paths r > 0.  If r may have lost eps e^lost to underflow, x <= e^lost underflows."""
+    y = math.hypot(math.sinh(s / 4.0), math.sqrt(r) / 2.0)
+    if lost is not None and not (y > 0.0 and 2.0 * math.log(2.0 * y) > lost):
+        raise NumericalOverflow("length underflows double precision: so may its holonomy")
+    return 4.0 * math.asinh(y)
 
 
 def _axis_eigenvalues(x: float) -> tuple[float, float, float]:
@@ -183,10 +191,8 @@ def apply(m: IsometryMatrix, p: HPoint) -> HPoint:
 
 
 def hyp_distance(p: HPoint, q: HPoint) -> float:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    u = 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-    return math.acosh(max(u, 1.0))
+    """2 asinh(|p - q| / (2 sqrt(y_p y_q))): a short distance keeps its digits."""
+    return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y) / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
 
 
 def axis_translation(m: IsometryMatrix, t: float) -> IsometryMatrix:

@@ -1,18 +1,20 @@
 """Shear-coordinate hyperbolic structures: holonomy, lengths, deformations.
 
 Matrix convention for dual-spine holonomy (recorded design decision): crossing
-an edge with shear x contributes
+an edge with shear x contributes E(x) = [[0, exp(x/2)], [-exp(-x/2), 0]], and
+a turn inside the triangle entered through side s contributes
+L = [[1, 1], [-1, 0]] (exit through side s+1) or R = [[0, -1], [1, 1]] (exit
+through side s+2), with the product taken left to right along the loop.  The
+convention is validated by two independent checks: completeness forces
+parabolic puncture holonomy, and the zero-shear torus has traces (3, 3, 3).
 
-    E(x) = [[0, exp(x/2)], [-exp(-x/2), 0]]
-
-and a turn inside the triangle entered through side s contributes
-
-    L = [[1, 1], [-1, 0]]   (exit through side s+1)
-    R = [[0, -1], [1, 1]]   (exit through side s+2)
-
-with the product taken left to right along the loop.  The convention is
-validated by two independent checks: completeness forces parabolic puncture
-holonomy, and the zero-shear once-punctured torus has trace triple (3, 3, 3).
+With D(x) = diag(e^(x/2), e^(-x/2)), E(x) L = -D(x) [[1, 0], [1, 1]] and
+E(x) R = D(x) [[1, 1], [0, 1]]: a loop's holonomy is +- a product of
+nonnegative matrices (Fock-Goncharov positivity; Penner's lambda lengths), and
+every word (read as its loop on the standard torus, `_word_steps`) and loop
+takes its length from it (`_spine_product`, `hypgeom._length_from_paths`)
+with no subtraction.  A peripheral class has length 0 by shape alone: a word
+by `is_peripheral`, a loop when all its turns are alike.
 
 A trace triple (tr a, tr b, tr ab) fixes a holonomy representation of the
 once-punctured torus up to conjugacy, and every word trace with it.
@@ -23,13 +25,10 @@ the direction in which the parabolic commutator [A, B] turns (`_orientation`).
 
 Slope lengths never multiply matrices along a word.  The Christoffel word of
 a Stern-Brocot mediant is the product l.r of its parents' words, so the
-Fricke identity
-
-    tr(l.r) = tr(l) tr(r) - tr(l.r^-1)
-
-gives every slope trace in O(1) from its parents.  A tree node carries
-(tr l, tr r, d = tr(l.r^-1)); its mediant m has trace tr l tr r - d, and its
-children are (l, m) with d = tr r and (m, r) with d = tr l.
+Fricke identity tr(l.r) = tr(l) tr(r) - tr(l.r^-1) gives every slope trace
+in O(1) from its parents.  A tree node carries (tr l, tr r, d = tr(l.r^-1));
+its mediant m has trace tr l tr r - d, and its children are (l, m) with
+d = tr r and (m, r) with d = tr l.
 `slope_lengths` sweeps the whole tree down to a complexity bound from the
 root Farey triangle {1/0, 0/1, 1/1}, the curves a, b and ab: the slopes with
 p > 0 hang below its edges (1/0, 1/1), with d = tr b, and (1/1, 0/1), with
@@ -41,36 +40,27 @@ shares.  It takes the same steps as the sweep, so the two agree bit for bit.
 The root has two sources, which feed the same walk.  A ShearStructure gives
 it in closed form (shear coordinates; Fock, "Dual Teichmueller spaces",
 1997): with shears (x0, x1, x2) of the standard torus edges and
-
-    f(xi, xj) = e^u + e^v + e^-u,   u = (xi + xj)/2,  v = (xj - xi)/2,
-
-the traces are |tr a| = f(x1, x2), |tr b| = f(x2, x0) and |tr ab| = f(x0, x1),
-all positive, which is a valid lift since tr a tr b tr ab > 0.  The three
-root lengths come from the excess |tr| - 2 = 4 sinh^2(u/2) + e^v, a sum of
+f(xi, xj) = e^u + e^v + e^-u, u = (xi + xj)/2, v = (xj - xi)/2, the traces
+are |tr a| = f(x1, x2), |tr b| = f(x2, x0) and |tr ab| = f(x0, x1), all
+positive, which is a valid lift since tr a tr b tr ab > 0.  The three root
+lengths come from the excess |tr| - 2 = 4 sinh^2(u/2) + e^v, a sum of
 positive terms, as l = 4 asinh(hypot(sinh(u/2), e^(v/2)/2)); so a pinched
 generator of length 2 e^(v/2) keeps all its digits, down to the smallest
 double.  A HolonomyRep, such as a twisted one, gives the root from its
 matrices.  A shear with |u| or v beyond log(DBL_MAX) raises
 NumericalOverflow, and so does a slope whose length comes out as 0: the
-walk rounds a trace within 1e-9 of 2 to 2 (`hypgeom._length_from_trace`,
-the trace-to-length rule shared with every other length), and a slope is
-never peripheral, so that is an underflow, not a length.
+walk rounds a trace within 1e-9 of 2 to 2 (`hypgeom._length_from_trace`),
+and a slope is never peripheral, so that is an underflow, not a length.
 
-Since the commutator trace is -2, tr m and d are the two roots of
-z^2 - tr l tr r z + tr l^2 + tr r^2 = 0.  When d is the larger root, tr m is
-taken as (tr l^2 + tr r^2) / d, which does not cancel: that is the step down
-to a short curve whose neighbours are long, where tr l tr r - d would lose
-the digits of a pinched length.
+When tr l tr r - d would cancel, on the step down to a short curve whose
+neighbours are long, `_fricke_step` takes tr m as (tr l^2 + tr r^2) / d, the
+other root of z^2 - tr l tr r z + tr l^2 + tr r^2 = 0 (tr [l, r] = -2).
 
 The Fenchel-Nielsen twist (`earthquake_twist`) works on trace triples too.
-For a basis (g, h) with the orientation of (a, b), the twist by t along g
-replaces h by tau h, tau the translation by t along the axis of g.  In the
-eigenframe of g, g = diag(e, 1/e) with e = exp(l_g / 2) and h has diagonal
-(alpha, delta); the twist maps it to (alpha e^(t/2), delta e^(-t/2)), which
-gives tr h and tr gh after the twist.  For a slope s the walk goes down the
-Stern-Brocot path to s as `slope_length` does, twists the basis
-(s, right parent of s) there, and climbs back to (tr a, tr b, tr ab) by the
-same steps, each recovering a parent from its child.  The result is the
+It walks down the Stern-Brocot path to s as `slope_length` does, twists the
+basis (s, right parent of s) there in closed form (`_twist_pair`), and climbs
+back to (tr a, tr b, tr ab) by the same steps.  A slope whose trace rounds to
+2 at the bottom is an underflow, as in `slope_length`.  The result is the
 normal form of the new triple with the orientation of H, so a twist by -t
 returns H up to roundoff whenever H is in normal form.
 """
@@ -83,7 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegeneratePolygon, IncompatibleLoop, NotStandardTorus, NumericalOverflow
-from .hypgeom import _ID, IsometryMatrix, Mat, _axis_eigenvalues, _inv, _length_from_trace, _mul
+from .hypgeom import IsometryMatrix, Mat, _axis_eigenvalues, _inv, _length_from_paths, _length_from_trace, _mul
 from .surface import (
     CombinatorialLoop,
     Curve,
@@ -91,6 +81,7 @@ from .surface import (
     IdealTriangulation,
     Slope,
     Turn,
+    cyclic_reduce,
     farey_path,
     is_peripheral,
     standard_torus_triangulation,
@@ -98,16 +89,7 @@ from .surface import (
 
 COMPLETENESS_TOL = 1e-9
 _MAX_EXP = math.log(sys.float_info.max)  # exp overflows a double beyond this
-
-_L: Mat = (1.0, 1.0, -1.0, 0.0)
-_R: Mat = (0.0, -1.0, 1.0, 1.0)
-
-
-def _edge_matrix(x: float) -> Mat:
-    if abs(x) / 2.0 > _MAX_EXP:
-        raise NumericalOverflow(f"shear {x} is too large: exp({x}/2) overflows a double")
-    e = math.exp(x / 2.0)
-    return (0.0, e, -1.0 / e, 0.0)
+_TORUS = standard_torus_triangulation()
 
 
 def _generator_length(m: Mat) -> float:
@@ -182,8 +164,9 @@ class HolonomyRep:
         return (a[0] + a[3], b[0] + b[3], ab[0] + ab[3])
 
 
-def _resolve_loop(T: IdealTriangulation, loop: CombinatorialLoop) -> tuple[int, int]:
-    """Check the steps against the gluing table; return the starting flag.
+def _loop_steps(T: IdealTriangulation, loop: CombinatorialLoop) -> tuple[tuple[int, bool], ...]:
+    """Check the steps against the gluing table; return them as the steps
+    (edge, turn is left) of `_spine_product`.
 
     A flag (triangle, side) means "in this triangle, about to cross this side".
     Both flags of the first edge are tried in lexicographic order.
@@ -202,22 +185,45 @@ def _resolve_loop(T: IdealTriangulation, loop: CombinatorialLoop) -> tuple[int, 
             offset = 1 if turn is Turn.LEFT else 2
             cur = (t2, (s2 + offset) % 3)
         if ok and cur == start:
-            return start
+            return tuple((e, turn is Turn.LEFT) for e, turn in loop.steps)
     raise IncompatibleLoop(f"loop {loop.spec()} does not close up against the gluing table")
+
+
+@lru_cache(maxsize=64)
+def _spine_factors(shears: tuple[float, ...]) -> tuple[tuple[tuple[float, float, float], ...], float]:
+    """(e^(x/2), e^(-x/2), x) per edge, for the diagonal D(x) of the step factors, and max |x|/2."""
+    top = max(map(abs, shears)) / 2.0
+    if top > _MAX_EXP:
+        raise NumericalOverflow(f"shears {shears} are too large: exp(x/2) overflows a double")
+    return tuple((math.exp(x / 2.0), math.exp(-x / 2.0), x) for x in shears), top
+
+
+def _spine_product(shears: tuple[float, ...], steps: tuple[tuple[int, bool], ...]) -> tuple[float, ...]:
+    """(a, b, c, d, s, r, lost) for the loop with steps (edge, turn is left): its holonomy
+    up to sign, the product of D(x) R+ per left and D(x) L+ per right turn, and s, r = a1 + d1
+    (the off-diagonal paths' share of a and d) and lost of `hypgeom._length_from_paths`."""
+    half, top = _spine_factors(shears)
+    a, b, c, d, a1, d1, s = 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0
+    for edge, left in steps:
+        e, ei, x = half[edge]
+        s += x
+        if left:
+            b, d, d1 = b * ei, d * ei, d1 * ei
+            a, a1, c = a * e + b, a1 * e + b, c * e + d
+        else:
+            a, a1, c = a * e, a1 * e, c * e
+            b, d, d1 = a + b * ei, c + d * ei, c + d1 * ei
+    if not a + b + c + d < math.inf:
+        raise NumericalOverflow(f"holonomy of shears {shears} overflows double precision")
+    n, lost = len(steps), None
+    if n * top > 708.0:  # an entry may go below e^-708: r loses < 8n 2^-1075 (2 e^t)^n <= eps e^lost
+        lost = sum(abs(shears[edge]) for edge, _ in steps) / 2.0 + (2 * n - 1020) * math.log(2.0)
+    return a, b, c, d, s, a1 + d1, lost
 
 
 def holonomy_of_loop(S: ShearStructure, loop: CombinatorialLoop) -> IsometryMatrix:
     """Ordered product of edge-crossing and turn matrices along the loop."""
-    _resolve_loop(S.triangulation, loop)
-    m = _ID
-    for edge, turn in loop.steps:
-        m = _mul(m, _edge_matrix(S.shears[edge]))
-        m = _mul(m, _L if turn is Turn.LEFT else _R)
-    return IsometryMatrix(*m)
-
-
-def _is_standard_torus(T: IdealTriangulation) -> bool:
-    return T == standard_torus_triangulation()
+    return IsometryMatrix(*_spine_product(S.shears, _loop_steps(S.triangulation, loop))[:4])
 
 
 @lru_cache(maxsize=4096)
@@ -231,28 +237,26 @@ def shear_to_holonomy_rep(S: ShearStructure) -> HolonomyRep:
     return _normal_form(ta, tb, tab, -1.0, f"holonomy of shears {S.shears}")
 
 
-def _word_matrix(word: str, a: Mat, b: Mat) -> Mat:
-    table = {"a": a, "b": b, "A": _inv(a), "B": _inv(b)}
-    m = _ID
-    for ch in word:
-        m = _mul(m, table[ch])
-    return m
+@lru_cache(maxsize=1 << 16)
+def _word_steps(w: FreeWord) -> tuple[tuple[int, bool], ...]:
+    """Steps (edge, turn is left) of a word's dual-spine loop, () if peripheral:
+    its letters' edge paths, equal adjacent edges cancelled cyclically (by
+    `cyclic_reduce`, as a digit is its own swapcase), left where f follows e."""
+    if is_peripheral(w.letters):
+        return ()
+    left = {(_TORUS.edge_index(t, s), _TORUS.edge_index(t, (s + 1) % 3)) for t in range(2) for s in range(3)}
+    paths = str.maketrans({"a": "12", "A": "21", "b": "20", "B": "02"})  # read from triangle 0
+    edges = [int(e) for e in cyclic_reduce(w.letters.translate(paths))]
+    return tuple((e, (e, f) in left) for e, f in zip(edges, edges[1:] + edges[:1]))
 
 
 @lru_cache(maxsize=1 << 17)
-def word_length(H: HolonomyRep, w: FreeWord) -> float:
-    """Translation length of the word evaluated in the two generators.
-
-    Only a peripheral class (`is_peripheral`) has length 0; for any other
-    class a trace that rounds to 2 is an underflow, as for a slope.
-    """
-    m = _word_matrix(w.letters, H.A.entries(), H.B.entries())
-    length = _length_from_trace(m[0] + m[3])
-    if length == 0.0 and not is_peripheral(w.letters):
-        raise NumericalOverflow(
-            f"length of word {w.letters} underflows double precision: its trace rounds to 2"
-        )
-    return length
+def word_length(S: ShearStructure, w: FreeWord) -> float:
+    """Length of a word's dual-spine loop (`_word_steps`); 0 for a peripheral class (`is_peripheral`)."""
+    if S.triangulation is not _TORUS and S.triangulation != _TORUS:
+        raise NotStandardTorus("free words need the standard torus triangulation")
+    steps = _word_steps(w)
+    return _length_from_paths(*_spine_product(S.shears, steps)[4:]) if steps else 0.0
 
 
 def _fricke_step(tl: float, tr: float, d: float) -> float:
@@ -292,7 +296,7 @@ def _root(X: ShearStructure | HolonomyRep) -> tuple[float, float, float, float, 
     a twisted one, which has no shears) gives them from its matrices.
     """
     if isinstance(X, ShearStructure):
-        if not _is_standard_torus(X.triangulation):
+        if X.triangulation != _TORUS:
             raise NotStandardTorus("holonomy reps and slope lengths need the standard torus triangulation")
         x0, x1, x2 = X.shears
         (ta, la), (tb, lb), (tab, lab) = (
@@ -379,13 +383,14 @@ def slope_length(X: ShearStructure | HolonomyRep, s: Slope) -> float:
 
 def curve_length(S: ShearStructure, c: Curve) -> float:
     """Geodesic length of a curve class: translation length of its holonomy."""
-    if isinstance(c, CombinatorialLoop):
-        m = holonomy_of_loop(S, c)
-        return _length_from_trace(m.trace)
+    if isinstance(c, CombinatorialLoop):  # peripheral when it circles one puncture: all turns alike
+        steps = _loop_steps(S.triangulation, c)
+        peripheral = len({left for _, left in steps}) == 1
+        return 0.0 if peripheral else _length_from_paths(*_spine_product(S.shears, steps)[4:])
     if isinstance(c, Slope):
         return slope_length(S, c)
     if isinstance(c, FreeWord):
-        return word_length(shear_to_holonomy_rep(S), c)
+        return word_length(S, c)
     raise TypeError(f"not a curve: {c!r}")
 
 
@@ -450,6 +455,8 @@ def _twisted_traces(x: float, y: float, z: float, s: Slope, t: float) -> tuple[f
         z, t = step(x, y, z), -t
     moves = farey_path(abs(s.p), s.q)
     tl, tr, tm = _farey_walk(x, y, z, moves)
+    if _length_from_trace(tm) == 0.0:  # the axis of s is lost, as in `slope_length`
+        raise _underflow(s.p, s.q)
     x, y, z = tm, tr, step(tm, tr, tl)  # the basis (s, r) is the right child of (l, r)
     y, z = _twist_pair(x, y, z, t)
     moves.append(False)

@@ -14,7 +14,7 @@ from stretchlab import EllipticHolonomy, ShearStructure, standard_torus_triangul
 from stretchlab.cli import emit_surface, main, parse_surface
 from stretchlab.metric import CloudReport
 
-from util import TORUS, oracle_slope_lengths, random_complete
+from util import TORUS, oracle_slope_lengths, oracle_word_lengths, random_complete
 
 ZERO_DOC = '{"surface": "zero", "triangulation": "S_1_1", "shears": {"e0": 0.0, "e1": 0.0, "e2": 0.0}}'
 
@@ -137,20 +137,33 @@ def test_slope_length_underflow_exit_2(tmp_path, capsys):
 
 
 def test_word_length_underflow_exit_2(tmp_path, capsys):
-    # b has length 2 e^-12 = 1.2e-5, but its trace 2 + e^-24 is within the
-    # parabolic tolerance of 2: that is an error, never a length of 0.  The
-    # puncture class (abAB, here rotated and inverted) still has length 0
-    path = write_surface(tmp_path, "pinched.json", ShearStructure(TORUS, (-24.0, 0.0, 24.0)))
-    assert main(["length", path, "word:b"]) == 2
+    # b on (-24, 0, 24) and a on (0, 24, -24) have length 2 e^-12 = 1.2e-5, and
+    # their traces are within 1e-10 of 2; the spine product keeps every digit
+    # (both exited 2 with the trace rule).  The puncture class (abAB, here
+    # rotated and inverted) has length 0
+    for shears, word in (((-24.0, 0.0, 24.0), "b"), ((0.0, 24.0, -24.0), "a")):
+        path = write_surface(tmp_path, "pinched.json", ShearStructure(TORUS, shears))
+        assert main(["length", path, f"word:{word}"]) == 0
+        printed = float(capsys.readouterr().out)
+        exact = oracle_word_lengths(shears, [word])[word]
+        assert abs(printed - exact) <= 1e-11 * exact  # the 12 printed digits
+    assert main(["length", path, "word:aBAb"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    # on (0, 1300, -1300) a's product has the entry e^-1300, below the smallest
+    # double, though its length 2 e^-650 is one: an error, never a length of 0
+    path = write_surface(tmp_path, "pinched_a.json", ShearStructure(TORUS, (0.0, 1300.0, -1300.0)))
+    assert main(["length", path, "word:a"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "underflow" in captured.err
-    assert main(["length", path, "word:aBAb"]) == 0
-    assert capsys.readouterr().out == "0\n"
-    # a, pinched the same way on (0, 24, -24), printed 0 with exit 0
-    path = write_surface(tmp_path, "pinched_a.json", ShearStructure(TORUS, (0.0, 24.0, -24.0)))
-    assert main(["length", path, "word:a"]) == 2
-    assert capsys.readouterr().out == ""
+
+
+def test_kmetric_all_classes_on_a_pinched_structure(tmp_path, capsys):
+    # every class word of (0, 20, -20) exited 2: its normal form loses the commutator
+    path = write_surface(tmp_path, "pinched.json", ShearStructure(TORUS, (0.0, 20.0, -20.0)))
+    assert main(["kmetric", path, path, "--max-complexity", "8", "--all-classes", "7"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("K_all_classes=") and math.isfinite(float(last.split("=")[1]))
 
 
 def test_kmetric_overflowing_structure_exit_2(tmp_path, capsys):

@@ -153,6 +153,13 @@ def test_hyp_distance_examples():
     assert hyp_distance(p, HPoint(1, 1)) == pytest.approx(ACOSH_15, abs=1e-12)
 
 
+def test_hyp_distance_of_nearby_points():
+    # acosh(1 + d^2/2) gave 0 for these, and the triangle inequality failed by 9e-9
+    p, q, r = HPoint(0.0, 1.0), HPoint(1e-8, 1.0), HPoint(1.0, 1.0)
+    assert hyp_distance(p, q) == pytest.approx(1e-8, rel=1e-12)
+    assert hyp_distance(p, r) <= hyp_distance(p, q) + hyp_distance(q, r)
+
+
 @given(hpoints(), hpoints(), hpoints())
 def test_hyp_distance_is_a_metric(p, q, r):
     assert hyp_distance(p, q) == hyp_distance(q, p)

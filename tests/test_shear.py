@@ -145,6 +145,31 @@ def test_loop_rotation_trace_exact():
         assert abs(abs(rot) - abs(base)) <= 1e-12
 
 
+# the loops of a, b, ab and aB (e1 = the vertical side, e2 = the diagonal)
+WORD_LOOPS = {
+    "a": ((1, Turn.LEFT), (2, Turn.RIGHT)),
+    "b": ((2, Turn.LEFT), (0, Turn.RIGHT)),
+    "ab": ((1, Turn.RIGHT), (0, Turn.LEFT)),
+    "aB": ((1, Turn.LEFT), (2, Turn.LEFT), (0, Turn.RIGHT), (2, Turn.RIGHT)),
+}
+
+
+@pytest.mark.parametrize("shears", [(0.0, 0.0, 0.0), (0.3, 1.1, -1.4), (0.0, 24.0, -24.0), (-16.0, 0.0, 16.0)])
+def test_loop_lengths_equal_their_word_lengths(shears):
+    S = ShearStructure(TORUS, shears)
+    exact = oracle_word_lengths(shears, list(WORD_LOOPS))
+    for word, steps in WORD_LOOPS.items():
+        loop = CombinatorialLoop(steps)
+        for c in (loop, loop.reversed(), loop.rotated(1)):
+            assert curve_length(S, c) == pytest.approx(word_length(S, FreeWord(word)), rel=1e-13, abs=0.0)
+        assert curve_length(S, loop) == pytest.approx(exact[word], rel=1e-13, abs=0.0)
+    # the entries of (ab)^20 reach 1e8 or more, where ad - bc can round to 0 and
+    # holonomy_of_loop rejects the matrix; curve_length does not go through it
+    power = CombinatorialLoop(WORD_LOOPS["ab"] * 20)
+    assert curve_length(S, power) == pytest.approx(word_length(S, FreeWord("ab" * 20)), rel=1e-13, abs=0.0)
+    assert curve_length(S, power) == pytest.approx(20 * exact["ab"], rel=1e-13, abs=0.0)
+
+
 def test_incompatible_loop_rejected():
     with pytest.raises(IncompatibleLoop):
         holonomy_of_loop(ZERO, CombinatorialLoop(((0, Turn.LEFT),)))
@@ -164,11 +189,12 @@ def test_zero_shear_order_three_symmetry():
 
 
 def test_word_length_examples():
-    rep = shear_to_holonomy_rep(ZERO)
-    assert word_length(rep, FreeWord("")) == 0.0
-    assert word_length(rep, FreeWord("ab")) == pytest.approx(2 * ACOSH_15, abs=1e-12)
+    assert word_length(ZERO, FreeWord("")) == 0.0
+    assert word_length(ZERO, FreeWord("ab")) == pytest.approx(2 * ACOSH_15, abs=1e-12)
     w = FreeWord("aabAB")
-    assert word_length(rep, w) == pytest.approx(word_length(rep, w.inverse()), abs=1e-12)
+    assert word_length(ZERO, w) == pytest.approx(word_length(ZERO, w.inverse()), abs=1e-12)
+    with pytest.raises(NotStandardTorus):
+        word_length(ShearStructure(sphere3_triangulation(), (0.0, 0.0, 0.0)), FreeWord("ab"))
 
 
 @given(complete_structures())
@@ -185,7 +211,7 @@ def test_shear_takes_its_trace_kernel_from_hypgeom():
     import stretchlab.hypgeom as hypgeom
     import stretchlab.shear as shear
 
-    kernel = {"_PARABOLIC_TOL", "_length_from_trace", "_mul", "_inv", "_axis_eigenvalues"}
+    kernel = {"_PARABOLIC_TOL", "_length_from_trace", "_length_from_paths", "_mul", "_inv", "_axis_eigenvalues"}
     defined = set()
     for node in ast.parse(inspect.getsource(shear)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -231,11 +257,10 @@ def test_rep_validates_commutator():
 
 
 def test_slope_lengths_match_free_word_route():
-    # two kernels: Fricke steps down the Farey tree against the word's matrix product
+    # two kernels: Fricke steps down the Farey tree against the word's spine product
     S = ShearStructure(TORUS, shears_from_coefficients(TORUS, (0.9, -0.2)))
-    rep = shear_to_holonomy_rep(S)
     for s in (Slope(2, 1), Slope(-1, 2), Slope(3, 5)):
-        assert curve_length(S, s) == pytest.approx(word_length(rep, slope_word(s)), rel=1e-13)
+        assert curve_length(S, s) == pytest.approx(word_length(S, slope_word(s)), rel=1e-13)
 
 
 # -- the Farey-tree trace kernel ----------------------------------------------------------
@@ -332,14 +357,13 @@ def test_pinched_families_against_oracle(family):
     ((20.0, 0.0, -20.0), 20),
 ])
 def test_structures_whose_holonomy_matrices_cancel(shears, N):
-    # the edge-matrix products lose the commutator on these; the normal form of
-    # the closed-form triple does not.  The measured worst word is 3.7e-8 (ab on
-    # (20, -20, 0), whose trace is within 4e-9 of 2, where acosh loses digits)
+    # the edge-matrix products of the generators lose the commutator on these;
+    # the spine product of each word does not cancel (the trace rule lost 3.7e-8
+    # on ab of (20, -20, 0), whose trace is within 4e-9 of 2)
     S = ShearStructure(TORUS, shears)
-    rep = shear_to_holonomy_rep(S)
     words = nonperipheral_classes(6)
     exact_words = oracle_word_lengths(shears, [w.letters for w in words])
-    assert max(abs(word_length(rep, w) - exact_words[w.letters]) / exact_words[w.letters] for w in words) <= 1e-7
+    assert max(abs(word_length(S, w) - exact_words[w.letters]) / exact_words[w.letters] for w in words) <= 1e-13
     swept = slope_lengths(S, N)
     exact = oracle_slope_lengths(shears, N)
     errors = {k: abs(swept[k] - exact[k]) / exact[k] for k in exact}
@@ -347,6 +371,42 @@ def test_structures_whose_holonomy_matrices_cancel(shears, N):
         # the Fricke step down to the short 2/1 (length 1.8e-4) cancels; item 1's flip walk
         assert errors.pop((2, 1)) <= 1e-7
     assert max(errors.values()) <= 1e-12
+
+
+PINCHED_WORD_CORPUS = [
+    shape(float(m))
+    for m in range(1, 31)
+    for shape in (
+        lambda m: (m, -m, 0.0), lambda m: (-m, m, 0.0),
+        lambda m: (m, 0.0, -m), lambda m: (-m, 0.0, m),
+        lambda m: (0.0, m, -m), lambda m: (0.0, -m, m),
+    )
+]
+
+
+@pytest.mark.parametrize("depth, corpus", [
+    (4, PINCHED_WORD_CORPUS),
+    (6, [(0.0, float(m), -float(m)) for m in (16, 20, 24, 30)]),
+])
+def test_pinched_word_lengths_against_oracle(depth, corpus):
+    # one generator shortens like 2 e^(-m/2); the trace rule exited 2 on 1,406 of
+    # the 180 x 116 evaluations and lost up to 6.1e-6 on the rest, where the spine
+    # product measured 5.9e-16
+    words = nonperipheral_classes(depth)
+    worst = 0.0
+    for shears in corpus:
+        S = ShearStructure(TORUS, shears)
+        exact = oracle_word_lengths(shears, [w.letters for w in words])
+        worst = max(worst, *(abs(word_length(S, w) - exact[w.letters]) / exact[w.letters] for w in words))
+    assert worst <= 1e-13
+
+
+def test_word_lengths_need_no_holonomy_rep():
+    # the normal form of (0, 20, -20) loses its commutator, but words never build one
+    S = ShearStructure(TORUS, (0.0, 20.0, -20.0))
+    with pytest.raises(NumericalOverflow):
+        shear_to_holonomy_rep(S)
+    assert word_length(S, FreeWord("a")) == pytest.approx(oracle_word_lengths(S.shears, ["a"])["a"], rel=1e-13)
 
 
 # -- stretch -----------------------------------------------------------------------------
@@ -384,10 +444,9 @@ def test_twist_preserves_own_length(pq):
     s = Slope(*pq)
     for _ in range(3):
         S = random_complete(rng, scale=1.0)
-        rep = shear_to_holonomy_rep(S)
-        tw = earthquake_twist(rep, s, 0.8)
-        before = word_length(rep, slope_word(s))
-        after = word_length(tw, slope_word(s))
+        tw = earthquake_twist(shear_to_holonomy_rep(S), s, 0.8)
+        before = word_length(S, slope_word(s))
+        after = slope_length(tw, s)
         # invariance is exact: the twisted holonomy of s is a conjugate
         assert abs(after - before) <= 1e-12
 
@@ -401,20 +460,26 @@ def test_twist_preserves_completeness(S, t):
 
 
 def _twisted_triple_50(rep, s, t):
-    """50-digit trace triple of rep twisted by t along s, by matrix products.
+    """Trace triple of rep twisted by t along s, by matrix products in at
+    least 50 digits.
 
     Walks the Farey bases (l, r) down to s, multiplying matrices; twists the
     bottom basis, taken with the orientation of (a, b), by the translation
     along the axis of s; and recovers each parent basis from its child by
     one product: r = l^-1 m below a left move, l = m r^-1 below a right one.
-    No trace identity is involved.
+    No trace identity is involved.  The double matrices of rep have
+    determinant 1 only to roundoff, which e^|t| amplifies, so they are
+    rescaled to determinant 1 in the working precision; and the precision
+    grows with |t|, since the products cancel about e^|t| (50 digits miss by
+    1e-8 at t = 100).
     """
     ctx = mpmath.mp.clone()
-    ctx.dps = 50
+    ctx.dps = 50 + 2 * int(abs(t))
     one = ctx.eye(2)
 
     def lift(m):
-        return ctx.matrix([[m[0], m[1]], [m[2], m[3]]])
+        m = ctx.matrix([[m[0], m[1]], [m[2], m[3]]])
+        return m / ctx.sqrt(ctx.det(m))
 
     def translation(g):
         if g[0, 0] + g[1, 1] < 0:
@@ -571,6 +636,35 @@ def test_mirror_rep_keeps_its_orientation_through_a_twist():
         assert _round_trip_miss(mirror, Slope(*pq), 0.9) <= 1e-12
 
 
+@pytest.mark.parametrize("pq", [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("t", [50.0, -50.0, 100.0, -100.0])
+def test_twist_by_large_t_against_matrix_products(pq, t):
+    # along 0/1, tr a reaches 1.5631e11 at t = 50 and 1.1255e22 at t = 100
+    # (measured worst 4.6e-16)
+    rep = shear_to_holonomy_rep(ZERO)
+    got = earthquake_twist(rep, Slope(*pq), t).trace_triple()
+    for g, e in zip(got, _twisted_triple_50(rep, Slope(*pq), t)):
+        assert abs(abs(g) - abs(e)) <= 1e-13 * abs(e)
+
+
+@pytest.mark.parametrize("shears, pq", [
+    ((30.0, 0.0, -30.0), (2, 1)),
+    ((24.0, -24.0, 0.0), (1, 1)),
+    ((24.0, 0.0, -24.0), (2, 1)),
+])
+def test_twist_along_a_slope_whose_trace_rounds_to_2_raises(shears, pq):
+    # the round trip by 0.5 and -0.5 missed by 2.0, 9.0e-6 and 6.2e-6 with no error
+    rep = shear_to_holonomy_rep(ShearStructure(TORUS, shears))
+    with pytest.raises(NumericalOverflow, match="underflow"):
+        earthquake_twist(rep, Slope(*pq), 0.5)
+
+
+def test_twist_along_a_short_slope_still_round_trips():
+    # 1/1 on (16, -16, 0) has trace 2 + 1.1e-7 (measured miss 1.05e-9)
+    rep = shear_to_holonomy_rep(ShearStructure(TORUS, (16.0, -16.0, 0.0)))
+    assert _round_trip_miss(rep, Slope(1, 1), 0.5) <= 2e-9
+
+
 @pytest.mark.parametrize("shears", [(300.0, -300.0, 0.0), (1000.0, 0.0, -1000.0), (0.0, 1000.0, -1000.0)])
 def test_holonomy_rep_beyond_double_precision_raises_overflow(shears):
     with pytest.raises(NumericalOverflow, match="overflow"):
@@ -680,6 +774,7 @@ def test_sphere3_has_rigid_structure():
     S3 = ShearStructure(T3, (0.0, 0.0, 0.0))
     for loop in puncture_loops(T3):
         assert abs(abs(holonomy_of_loop(S3, loop).trace) - 2.0) <= 1e-9
+        assert curve_length(S3, loop) == 0.0
 
 
 # -- general triangulations from synthesized gluing tables -------------------------
@@ -717,3 +812,4 @@ def test_random_triangulations_have_parabolic_punctures():
         for loop in puncture_loops(T):
             m = holonomy_of_loop(S, loop)
             assert abs(abs(m.trace) - 2.0) <= 1e-9
+            assert curve_length(S, loop) == curve_length(S, loop.reversed()) == 0.0
