@@ -60,7 +60,8 @@ from .shear import (
     transverse_slope_weights,
     word_length,
 )
-from .traintrack import TrainTrack, WeightVector, carries_positive, is_recurrent, switch_matrix, weight_cone_basis
+from .traintrack import (TrainTrack, WeightVector, carries_positive, cone_dimension, is_recurrent, switch_matrix,
+                         weight_cone_basis)
 from .metric import (
     RatioReport,
     TangentCovector,

@@ -17,6 +17,7 @@ stabilized, march stopped early), 4 elliptic holonomy, 5 failed hull verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -44,7 +45,7 @@ from .surface import (
     Turn,
     standard_torus_triangulation,
 )
-from .traintrack import TrainTrack, positive_weight_witness, weight_cone_basis
+from .traintrack import TrainTrack, cone_dimension, positive_weight_witness
 
 
 def _fmt(value: float, digits: int = 12) -> str:
@@ -278,10 +279,11 @@ def cmd_track(args) -> int:
     # a positive witness exists exactly when every node 2b lies on a closed
     # walk, which is `is_recurrent`'s test, so one search gives both verdicts
     carried = _bool(positive_weight_witness(tt) is not None)
-    print(f"recurrent={carried} cone_dim={len(weight_cone_basis(tt))} positive={carried}")
+    print(f"recurrent={carried} cone_dim={cone_dimension(tt)} positive={carried}")
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call; do not add to it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stretchlab",

@@ -306,19 +306,17 @@ def farey_path(p: int, q: int) -> list[bool]:
     return moves
 
 
-# _LETTERS in its order a < b < A < B, translated to ordinary string order
+# _LETTERS in its order a < b < A < B, translated to ordinary string order and back
 _LETTER_ORDER = str.maketrans(_LETTERS, "abcd")
+_LETTER_BACK = str.maketrans("abcd", _LETTERS)
 
 
 def canonical_class_representative(word: str) -> str:
     """Least rotation over the cyclic word and its inverse (letter order a<b<A<B)."""
     w = cyclic_reduce(word)
-    if not w:
-        return ""
-    candidates = []
-    for u in (w, invert_word(w)):
-        candidates.extend(u[i:] + u[:i] for i in range(len(u)))
-    return min(candidates, key=lambda u: u.translate(_LETTER_ORDER))
+    n = len(w)
+    ww, vv = (2 * u.translate(_LETTER_ORDER) for u in (w, invert_word(w)))
+    return min([u[i:i + n] for u in (ww, vv) for i in range(n)], default="").translate(_LETTER_BACK)
 
 
 def is_peripheral(word: str) -> bool:
@@ -337,18 +335,25 @@ def enumerate_conjugacy_classes(N: int) -> list[FreeWord]:
     One depth-first pass over the reduced words from the roots a and b (a
     canonical word starts with one of them), children in letter order, keeps
     each word that is its own canonical representative.  Preorder is letter
-    order, so each length comes out sorted.
+    order, so each length comes out sorted.  The pass carries (w, w^-1),
+    translated, and skips w's subtree when w^-1 or a suffix of w is below w's
+    prefix of the same length: every extension has a smaller rotation.
     """
     if N < 1:
         raise ValueError("word length bound must be at least 1")
     by_length: list[list[FreeWord]] = [[] for _ in range(N + 1)]
-    stack = ["b", "a"]  # pushed in reverse, so that the least letter pops first
+    stack = [("b", "d"), ("a", "c")]  # pushed in reverse, so that the least letter pops first
     while stack:
-        w = stack.pop()
-        if w[0] != w[-1].swapcase() and canonical_class_representative(w) == w:
-            by_length[len(w)].append(FreeWord(w))
-        if len(w) < N:
-            stack.extend(w + ch for ch in reversed(_LETTERS) if ch != w[-1].swapcase())
+        w, v = stack.pop()
+        n = len(w)
+        # (a suffix of w^-1 is the inverse of a prefix of w, checked as v there)
+        if v < w or any(w[i:] < w[:n - i] for i in range(1, n)):
+            continue
+        word = w.translate(_LETTER_BACK)
+        if w[0] != v[0] and canonical_class_representative(word) == word:
+            by_length[n].append(FreeWord(word))
+        if n < N:
+            stack.extend((w + ch, inv + v) for ch, inv in zip("dcba", "badc") if ch != v[0])
     return [w for words in by_length for w in words]
 
 

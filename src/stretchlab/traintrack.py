@@ -4,8 +4,9 @@ A track is abstract (not embedded): indexed branches plus switches, each
 switch holding two nonempty lists of half-branches.  Half-branch id 2*b + e
 is end e of branch b; every half-branch is placed exactly once.
 
-Switch relations are integer vectors, so cones are computed in exact rational
-arithmetic.
+Switch relations are integer rows of a signed graph's incidence matrix, so the
+cone dimension comes from the graph's balanced components (`cone_dimension`);
+an exact rational basis of the cone is computed on request.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ class WeightVector:
         return True
 
 
-def switch_matrix(tt: TrainTrack) -> list[list[Fraction]]:
+def switch_matrix(tt: TrainTrack) -> list[list[int]]:
     """One row per switch: net +1/-1 coefficient per branch by side membership."""
     rows = []
     for one, two in tt.switches:
-        row = [Fraction(0)] * tt.num_branches
+        row = [0] * tt.num_branches
         for half in one:
             row[half // 2] += 1
         for half in two:
@@ -56,8 +57,8 @@ def switch_matrix(tt: TrainTrack) -> list[list[Fraction]]:
     return rows
 
 
-def _rational_nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the kernel of the matrix, exact over the rationals."""
+def _rational_nullspace(rows: list[list[int]], n: int) -> list[list[Fraction]]:
+    """Basis of the kernel of the integer matrix, exact over the rationals."""
     m = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -66,7 +67,7 @@ def _rational_nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fractio
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1, m[r][c])  # the pivot row, and so the basis, becomes exact rationals
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
@@ -85,6 +86,43 @@ def _rational_nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fractio
             v[pc] = -m[row_idx][fc]
         basis.append(v)
     return basis
+
+
+def cone_dimension(tt: TrainTrack) -> int:
+    """num_branches - rank of the switch matrix, the incidence matrix of a signed
+    graph: branch b joins the switches of its ends, signed +1 on side one and -1
+    on side two.  Its rank is #switches - #balanced components (Zaslavsky,
+    "Signed graphs", 1982): those with a y != 0 on their switches that has
+    y(s0) = -sign0 * sign1 * y(s1) along every branch, i.e. a consistent parity."""
+    end = {}  # half-branch -> (switch, 0 on side one or 1 on side two)
+    for s, (one, two) in enumerate(tt.switches):
+        end.update((h, (s, 0)) for h in one)
+        end.update((h, (s, 1)) for h in two)
+    parent = list(range(len(tt.switches)))
+    parity = [0] * len(tt.switches)  # 1 where y flips from a switch to its parent
+    balanced = [True] * len(tt.switches)  # read at the roots
+    size = [1] * len(tt.switches)  # the smaller tree goes under the larger
+
+    def find(s: int) -> tuple[int, int]:
+        p = 0
+        while parent[s] != s:
+            p ^= parity[s]
+            s = parent[s]
+        return s, p
+
+    for b in range(tt.num_branches):
+        (s0, side0), (s1, side1) = end[2 * b], end[2 * b + 1]
+        (r0, p0), (r1, p1) = find(s0), find(s1)
+        flip = 1 ^ side0 ^ side1  # y flips where both ends are on side one, or both on two
+        if r0 == r1:
+            balanced[r0] = balanced[r0] and (p0 ^ p1) == flip
+        else:
+            if size[r0] < size[r1]:
+                r0, r1 = r1, r0
+            parent[r1], parity[r1] = r0, p0 ^ p1 ^ flip
+            size[r0] += size[r1]
+            balanced[r0] = balanced[r0] and balanced[r1]
+    return tt.num_branches - len(tt.switches) + sum(balanced[s] for s, r in enumerate(parent) if r == s)
 
 
 def weight_cone_basis(tt: TrainTrack) -> list[WeightVector]:
@@ -155,7 +193,7 @@ def positive_weight_witness(tt: TrainTrack) -> WeightVector | None:
             return None
         for node in walk:
             counts[node // 2] += 1
-    witness = WeightVector(tuple(Fraction(c) for c in counts))
+    witness = WeightVector(tuple(counts))
     if not witness.satisfies_switch_conditions(tt) or any(c <= 0 for c in counts):
         raise AssertionError("closed-walk witness violated the switch conditions")
     return witness

@@ -17,6 +17,7 @@ from stretchlab import (
     antisymmetry_residual,
     asymmetry_probe,
     carries_positive,
+    cone_dimension,
     convex_cloud,
     curve_length,
     enumerate_slopes,
@@ -242,7 +243,7 @@ def test_criterion_10_train_tracks():
     for name, tt, cone_dim, recurrent in CORPUS:
         dim = len(weight_cone_basis(tt))
         rec = is_recurrent(tt)
-        if dim != cone_dim or rec != oracle(tt) or rec != recurrent:
+        if dim != cone_dim or cone_dimension(tt) != dim or rec != oracle(tt) or rec != recurrent:
             ok = False
         if rec and not carries_positive(tt):
             ok = False

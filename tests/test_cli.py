@@ -395,6 +395,36 @@ def test_module_invocation_smoke(zero_file):
     assert proc.stderr == ""
 
 
+def test_cached_parser_keeps_no_state(tmp_path, zero_file, capsys):
+    """One parser serves every call of a process; no call leaks into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    rng = random.Random(31)
+    g_file = write_surface(tmp_path, "g.json", random_complete(rng, scale=0.7))
+    h_file = write_surface(tmp_path, "h.json", random_complete(rng, scale=0.7))
+
+    main(["kmetric", g_file, h_file, "--max-complexity", "8"])
+    plain = capsys.readouterr().out
+    main(["kmetric", g_file, h_file, "--max-complexity", "8", "--all-classes", "7"])
+    assert capsys.readouterr().out.startswith(plain)
+    main(["kmetric", g_file, h_file, "--max-complexity", "8"])
+    assert capsys.readouterr().out == plain
+    assert "K_all_classes" not in plain
+
+    assert main(["deform", g_file, "--twist", "1/1", "0.25"]) == 0
+    twisted = capsys.readouterr().out
+    assert main(["deform", g_file, "--stretch", "0.5"]) == 0
+    stretched = capsys.readouterr().out
+    assert main(["deform", g_file, "--twist", "1/1", "0.25"]) == 0
+    assert capsys.readouterr().out == twisted != stretched
+
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", g_file, "--stretch", "0.5", "--twist", "1/1", "0.25"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["length", zero_file, "slope:1/0"]) == 0
+    assert capsys.readouterr().out == "1.92484730024\n"
+
+
 def test_import_does_not_load_mpmath():
     import stretchlab
 

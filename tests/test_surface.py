@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,10 +182,35 @@ def test_conjugacy_classes_small():
     assert got == {"a", "b", "aa", "bb", "ab", "aB"}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_conjugacy_class_counts_match_bruteforce(n):
     expected = sorted(_orbit_minima_oracle(n), key=lambda w: (len(w), _letter_key(w)))
     assert [w.letters for w in enumerate_conjugacy_classes(n)] == expected
+
+
+def _reference_canonical(word):
+    """Literal reference: reduce with a stack, cancel the ends, then take the
+    least of all rotations of the word and of its inverse."""
+    stack = []
+    for ch in word:
+        if stack and stack[-1] == ch.swapcase():
+            stack.pop()
+        else:
+            stack.append(ch)
+    while len(stack) >= 2 and stack[0] == stack[-1].swapcase():
+        stack = stack[1:-1]
+    w = "".join(stack)
+    inverse = w[::-1].swapcase()
+    rotations = [u[i:] + u[:i] for u in (w, inverse) for i in range(len(u))]
+    return min(rotations, key=_letter_key, default="")
+
+
+def test_canonical_representative_against_all_rotations():
+    rng = random.Random(1201)
+    words = ["", "aA", "abBA", "aAbB", "Ab", "abAB", "BAba"]
+    words += ["".join(rng.choice("abAB") for _ in range(rng.randint(0, 12))) for _ in range(3000)]
+    for w in words:
+        assert canonical_class_representative(w) == _reference_canonical(w), w
 
 
 def test_conjugacy_classes_cyclically_reduced_and_canonical():

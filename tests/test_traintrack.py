@@ -1,13 +1,22 @@
 """Switch relations, weight cones, recurrence; verdicts checked against an
 independent strongly-connected-component oracle built on networkx."""
 
+import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stretchlab import TrainTrack, carries_positive, is_recurrent, switch_matrix, weight_cone_basis
+from stretchlab import (
+    TrainTrack,
+    carries_positive,
+    cone_dimension,
+    is_recurrent,
+    switch_matrix,
+    weight_cone_basis,
+)
 from stretchlab.traintrack import (
     WeightVector,
     loop_with_stub_track,
@@ -90,6 +99,59 @@ def test_corpus_cone_dimensions_exact(name, tt, cone_dim, recurrent):
     for v in basis:
         for row in matrix:
             assert sum(r * w for r, w in zip(row, v.weights)) == 0
+
+
+def _rank_dimension(tt: TrainTrack) -> int:
+    return tt.num_branches - int(np.linalg.matrix_rank(np.array(switch_matrix(tt), dtype=float)))
+
+
+@pytest.mark.parametrize("name,tt,cone_dim,recurrent", CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_cone_dimension_from_signed_switch_graph(name, tt, cone_dim, recurrent):
+    assert cone_dimension(tt) == len(weight_cone_basis(tt)) == _rank_dimension(tt) == cone_dim
+
+
+def seeded_track(rng: random.Random, max_branches: int) -> TrainTrack:
+    """Random valid track: half-branches shuffled into switches of at least two,
+    each cut into two nonempty sides."""
+    n = rng.randint(1, max_branches)
+    halves = list(range(2 * n))
+    rng.shuffle(halves)
+    sizes = [2] * rng.randint(1, n)
+    for _ in range(2 * n - 2 * len(sizes)):
+        sizes[rng.randrange(len(sizes))] += 1
+    switches, start = [], 0
+    for size in sizes:
+        group, start = halves[start:start + size], start + size
+        cut = rng.randint(1, size - 1)
+        switches.append((tuple(group[:cut]), tuple(group[cut:])))
+    return TrainTrack(n, tuple(switches))
+
+
+def test_cone_dimension_on_seeded_random_tracks():
+    rng = random.Random(1212)
+    for i in range(1200):
+        tt = seeded_track(rng, 32 if i % 4 == 0 else 10)
+        assert cone_dimension(tt) == len(weight_cone_basis(tt)) == _rank_dimension(tt), tt
+
+
+@pytest.mark.parametrize(
+    "tt,rank",
+    [
+        # both ends of each branch on one side of one switch: columns (2, -2)
+        (TrainTrack(2, (((0, 1), (2, 3)),)), 1),
+        # the two ends on opposite sides of one switch: a zero column
+        (TrainTrack(1, (((0,), (1,)),)), 0),
+        (TrainTrack(2, (((0, 2), (1, 3)),)), 0),
+        # a balanced theta (2 switches) beside an unbalanced pair of +-2 loops
+        (TrainTrack(5, (((0,), (2, 4)), ((3, 5), (1,)), ((6, 7), (8, 9)))), 2),
+        # a cycle of odd sign: one branch joins equal sides, one opposite sides
+        (TrainTrack(3, (((0, 2), (4,)), ((1,), (3, 5)))), 2),
+    ],
+    ids=["two_pm2_columns", "zero_column", "two_zero_columns", "balanced_and_unbalanced", "odd_cycle"],
+)
+def test_cone_dimension_edge_cases(tt, rank):
+    assert np.linalg.matrix_rank(np.array(switch_matrix(tt), dtype=float)) == rank
+    assert cone_dimension(tt) == len(weight_cone_basis(tt)) == tt.num_branches - rank
 
 
 @pytest.mark.parametrize("name,tt,cone_dim,recurrent", CORPUS, ids=[c[0] for c in CORPUS])
